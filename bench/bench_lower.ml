@@ -88,7 +88,7 @@ let server_sim () =
       let protocols =
         [
           ( "ttl-flood from a_1",
-            fun ~on_message ->
+            fun ~sink ->
               let start = Lowerbound.Gadget.id_of gd (Lowerbound.Gadget.A 1) in
               let proto : (int, int) Congest.Engine.protocol =
                 {
@@ -119,10 +119,10 @@ let server_sim () =
                       else (max s best, Congest.Engine.no_action));
                 }
               in
-              let _, trace = Congest.Engine.run ~on_message gd.Lowerbound.Gadget.graph proto in
+              let _, trace = Congest.Engine.run ~sink gd.Lowerbound.Gadget.graph proto in
               trace.Congest.Engine.rounds );
           ( "bounded wavefront (Alg2-style)",
-            fun ~on_message ->
+            fun ~sink ->
               (* Distance wavefront from the tree root on unit topology,
                  truncated at max_t-1 rounds. *)
               let topo = Graphlib.Wgraph.with_unit_weights gd.Lowerbound.Gadget.graph in
@@ -157,7 +157,7 @@ let server_sim () =
                       else (min cand s, Congest.Engine.no_action));
                 }
               in
-              let _, trace = Congest.Engine.run ~on_message topo proto in
+              let _, trace = Congest.Engine.run ~sink topo proto in
               trace.Congest.Engine.rounds );
         ]
       in

@@ -67,7 +67,7 @@ let count_protocol (gd : Gadget.t) ~run =
       Hashtbl.replace per_round round (cur + 1)
     end
   in
-  let protocol_rounds = run ~on_message:hook in
+  let protocol_rounds = run ~sink:(Telemetry.Events.of_on_message hook) in
   if protocol_rounds > max_simulation_rounds gd then
     invalid_arg "Server_model.count_protocol: protocol too long for the schedule";
   let per_round_max = Hashtbl.fold (fun _ v acc -> max v acc) per_round 0 in

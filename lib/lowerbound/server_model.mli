@@ -47,8 +47,8 @@ type count = {
 }
 
 val count_protocol :
-  Gadget.t -> run:(on_message:(round:int -> src:int -> dst:int -> words:int -> unit) -> int) ->
-  count
-(** [run] executes an arbitrary protocol on the gadget graph, reporting
-    every message through the hook, and returns the number of rounds it
-    used (which must stay below {!max_simulation_rounds}). *)
+  Gadget.t -> run:(sink:Telemetry.Events.sink -> int) -> count
+(** [run ~sink] executes an arbitrary protocol on the gadget graph with
+    [sink] attached to its engine runs (it counts the [Message]
+    events), and returns the number of rounds it used (which must stay
+    below {!max_simulation_rounds}). *)

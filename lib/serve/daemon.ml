@@ -9,7 +9,6 @@ type config = {
   socket : string;
   artifacts : string option;
   runner_jobs : int option;
-  shards : int option;
   oracle_capacity : int;
   instance_capacity : int;
   max_frame : int;
@@ -20,7 +19,6 @@ let default_config ~socket =
     socket;
     artifacts = None;
     runner_jobs = None;
-    shards = None;
     oracle_capacity = 64;
     instance_capacity = 32;
     max_frame = Hjson.Stream.default_max_frame;
@@ -46,9 +44,11 @@ type job = {
   mutable completed : int;
   mutable total : int;
   (* Main-thread-only streaming state: the full event history (so a
-     late subscriber replays from the start) and the currently
-     connected subscriber fds. *)
+     late subscriber replays from the start), whether that history
+     already ends in the [done] line, and the currently connected
+     subscriber fds. *)
   mutable events : string list;  (** Reversed arrival order. *)
+  mutable closed : bool;
   mutable subscribers : Unix.file_descr list;
 }
 
@@ -75,7 +75,8 @@ type t = {
   mutable draining : bool;
   mutable stopping : bool;
   mutable worker_busy : bool;
-  outbox : (string * string) Queue.t;  (** (job id, event line), worker -> main. *)
+  outbox : (string * string * bool) Queue.t;
+      (** (job id, event line, is the [done] line), worker -> main. *)
   (* Self-pipe waking the select loop from the worker and from the
      SIGTERM handler. *)
   wake_r : Unix.file_descr;
@@ -91,8 +92,8 @@ let wake t =
   try ignore (Unix.write t.wake_w (Bytes.make 1 '!') 0 1)
   with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE), _, _) -> ()
 
-let post_event t jid line =
-  locked t (fun () -> Queue.add (jid, line) t.outbox);
+let post_event ?(last = false) t jid line =
+  locked t (fun () -> Queue.add (jid, line, last) t.outbox);
   wake t
 
 (* --------------------------- job execution ------------------------- *)
@@ -138,7 +139,7 @@ let run_sweep t job (spec : Spec.t) (options : Protocol.submit_options) =
       else { Runner.default_retry with Runner.max_attempts = options.Protocol.retries }
     in
     let executed, failed =
-      Runner.run ?jobs:t.cfg.runner_jobs ?shards:t.cfg.shards ~retry
+      Runner.run ?jobs:t.cfg.runner_jobs ~retry
         ?deadline_s:options.Protocol.deadline_s ~metrics:t.metrics spec store
         ~on_progress:(progress_event t job path)
     in
@@ -234,7 +235,7 @@ let execute t job =
         job.state <- Failed;
         job.error <- Some e;
         Metrics.incr t.metrics "serve.jobs.failed");
-  post_event t job.jid
+  post_event ~last:true t job.jid
     (Protocol.event_line ~job:job.jid ~event:"done"
        [ ("status", J.str (state_name job.state)) ])
 
@@ -331,6 +332,7 @@ let submit t sub =
             completed = 0;
             total = 0;
             events = [];
+            closed = false;
             subscribers = [];
           }
         in
@@ -427,15 +429,15 @@ let handle_request t (c : client) (id, parsed) =
              ~detail:(Printf.sprintf "no job %s" jid)
              ())
       | Some j ->
+        (* The stream is over once its history holds the [done] line.
+           [j.state] settles earlier, on the worker, and a subscriber
+           arriving in between must stay subscribed to receive [done]. *)
         let history = List.rev j.events in
-        let terminal =
-          locked t (fun () -> match j.state with Done | Failed -> true | _ -> false)
-        in
         write_line t c
           (Protocol.ok_line ?id
              [ ("job", J.str jid); ("replayed", J.int (List.length history)) ]);
         List.iter (write_line t c) history;
-        if not terminal then j.subscribers <- c.fd :: j.subscribers)
+        if not j.closed then j.subscribers <- c.fd :: j.subscribers)
     | Protocol.Metrics ->
       let snap = Metrics.snapshot t.metrics in
       write_line t c
@@ -473,7 +475,7 @@ let deliver_events t clients =
       items)
   in
   List.iter
-    (fun (jid, line) ->
+    (fun (jid, line, last) ->
       match find_job t jid with
       | None -> ()
       | Some j ->
@@ -485,14 +487,12 @@ let deliver_events t clients =
             | Some c -> write_line t c line
             | None -> ())
           subs;
-        (* A terminal event ends the stream: subscribers got their
+        (* The [done] line ends the stream: subscribers got their
            closing line and can disconnect. *)
-        if
-          match Hjson.parse line with
-          | Ok v -> (
-            match Hjson.member "event" v with Some (Hjson.Str "done") -> true | _ -> false)
-          | Error _ -> false
-        then j.subscribers <- [])
+        if last then begin
+          j.closed <- true;
+          j.subscribers <- []
+        end)
     batch
 
 let prune_dead t clients =
@@ -526,39 +526,43 @@ let stale_socket_check socket =
     try Sys.remove socket with Sys_error _ -> ()
   end
 
-let run ?(on_ready = fun () -> ()) ?(log = fun _ -> ()) cfg =
-  if String.length cfg.socket >= 100 then
-    invalid_arg "Serve.Daemon.run: socket path too long for a unix socket";
-  stale_socket_check cfg.socket;
-  Telemetry.Export.mkdir_p (Filename.dirname cfg.socket);
+let create ~log cfg =
   let metrics = Metrics.create () in
   let oracle, _ = Cache.oracle ~metrics ~capacity:cfg.oracle_capacity () in
   let graph_of_job, _ = Cache.instances ~metrics ~capacity:cfg.instance_capacity () in
   let wake_r, wake_w = Unix.pipe () in
   Unix.set_nonblock wake_w;
-  let t =
-    {
-      cfg;
-      log;
-      metrics;
-      oracle;
-      graph_of_job;
-      started_at = Unix.gettimeofday ();
-      mx = Mutex.create ();
-      cv = Condition.create ();
-      queue = Queue.create ();
-      jobs = Hashtbl.create 64;
-      order = [];
-      seq = 0;
-      draining = false;
-      stopping = false;
-      worker_busy = false;
-      outbox = Queue.create ();
-      wake_r;
-      wake_w;
-      sigterm = Atomic.make false;
-    }
-  in
+  {
+    cfg;
+    log;
+    metrics;
+    oracle;
+    graph_of_job;
+    started_at = Unix.gettimeofday ();
+    mx = Mutex.create ();
+    cv = Condition.create ();
+    queue = Queue.create ();
+    jobs = Hashtbl.create 64;
+    order = [];
+    seq = 0;
+    draining = false;
+    stopping = false;
+    worker_busy = false;
+    outbox = Queue.create ();
+    wake_r;
+    wake_w;
+    sigterm = Atomic.make false;
+  }
+
+let new_client cfg fd =
+  { fd; reader = Hjson.Stream.create ~max_frame:cfg.max_frame (); alive = true }
+
+let run ?(on_ready = fun () -> ()) ?(log = fun _ -> ()) cfg =
+  if String.length cfg.socket >= 100 then
+    invalid_arg "Serve.Daemon.run: socket path too long for a unix socket";
+  stale_socket_check cfg.socket;
+  Telemetry.Export.mkdir_p (Filename.dirname cfg.socket);
+  let t = create ~log cfg in
   (* A slow or vanished client must never kill the daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (try
@@ -597,9 +601,7 @@ let run ?(on_ready = fun () -> ()) ?(log = fun _ -> ()) cfg =
       match Unix.accept listen_fd with
       | fd, _ ->
         Metrics.incr t.metrics "serve.clients.accepted";
-        clients :=
-          { fd; reader = Hjson.Stream.create ~max_frame:cfg.max_frame (); alive = true }
-          :: !clients
+        clients := new_client cfg fd :: !clients
       | exception Unix.Unix_error (_, _, _) -> ()
     end;
     let buf = Bytes.create 8192 in
@@ -648,3 +650,30 @@ let run ?(on_ready = fun () -> ()) ?(log = fun _ -> ()) cfg =
   (try Unix.close t.wake_r with Unix.Unix_error (_, _, _) -> ());
   (try Unix.close t.wake_w with Unix.Unix_error (_, _, _) -> ());
   log "qcongestd: drained and stopped"
+
+module Internal = struct
+  type daemon = t
+  type conn = client
+
+  let create cfg = create ~log:ignore cfg
+  let connect t fd = new_client t.cfg fd
+
+  let request t c line =
+    handle_frame t c
+      (match Hjson.parse line with
+      | Ok v -> Hjson.Stream.Frame v
+      | Error error -> Hjson.Stream.Junk { raw = line; error })
+
+  let work t =
+    let job =
+      locked t (fun () ->
+          match Queue.take_opt t.queue with
+          | Some job ->
+            job.state <- Running;
+            job
+          | None -> invalid_arg "Serve.Daemon.Internal.work: no queued job")
+    in
+    execute t job
+
+  let deliver = deliver_events
+end

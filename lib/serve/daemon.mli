@@ -35,7 +35,6 @@ type config = {
       (** Store/report directory; defaults to the [ARTIFACTS_DIR]
           resolution of {!Telemetry.Export.artifacts_dir}. *)
   runner_jobs : int option;  (** Worker domains per sweep batch. *)
-  shards : int option;  (** Engine domain-sharding per job. *)
   oracle_capacity : int;  (** Oracle LRU entries (eccentricity arrays). *)
   instance_capacity : int;  (** Instance LRU entries (CSR graphs). *)
   max_frame : int;  (** Per-line byte budget of the frame reader. *)
@@ -53,3 +52,30 @@ val run : ?on_ready:(unit -> unit) -> ?log:(string -> unit) -> config -> unit
     [Invalid_argument] if the socket path is over-long or a live
     daemon already listens on it; a {e stale} socket file (dead
     daemon) is reclaimed silently. *)
+
+(**/**)
+
+(** The daemon's steps, one call each, for tests that must pin an
+    interleaving the select loop and the worker thread leave to
+    scheduling. Not part of the service API. *)
+module Internal : sig
+  type daemon
+  type conn
+
+  val create : config -> daemon
+  (** Daemon state with no listening socket and no worker thread. *)
+
+  val connect : daemon -> Unix.file_descr -> conn
+  (** A client on an already connected descriptor. *)
+
+  val request : daemon -> conn -> string -> unit
+  (** Handle one request line from [conn], as the main loop does. *)
+
+  val work : daemon -> unit
+  (** Run the next queued job to settlement on the calling thread, as
+      the worker does; its events wait in the outbox. *)
+
+  val deliver : daemon -> conn list -> unit
+  (** Move the outbox into job histories and out to subscribers, as
+      the main loop does. *)
+end

@@ -354,7 +354,7 @@ let test_count_protocol_bound () =
   let gd = build_gadget 4 in
   let max_rounds = Server_model.max_simulation_rounds gd in
   let count =
-    Server_model.count_protocol gd ~run:(fun ~on_message ->
+    Server_model.count_protocol gd ~run:(fun ~sink ->
         let proto : (int, int) Congest.Engine.protocol =
           {
             name = "ttl-flood";
@@ -381,7 +381,7 @@ let test_count_protocol_bound () =
                 else (max s best, Congest.Engine.no_action));
           }
         in
-        let _, trace = Congest.Engine.run ~on_message gd.Gadget.graph proto in
+        let _, trace = Congest.Engine.run ~sink gd.Gadget.graph proto in
         trace.Congest.Engine.rounds)
   in
   checkb "protocol ran" true (count.Server_model.protocol_rounds > 0);

@@ -441,6 +441,53 @@ let test_daemon_end_to_end () =
   checkb "store lock released" false
     (Sys.file_exists (Filename.concat dir "serve-e2e.jsonl.lock"))
 
+(* The [events]/[done] interleaving, driven step by step: the worker
+   has settled the job (state [Done], [done] line queued in the outbox)
+   when the [events] request arrives, and the main loop appends the
+   [done] line only afterwards. The subscriber must still receive it. *)
+let test_events_between_settle_and_done () =
+  let module D = Serve.Daemon.Internal in
+  let module J = Telemetry.Tjson in
+  let d =
+    D.create
+      { (Serve.Daemon.default_config ~socket:"unused") with
+        Serve.Daemon.artifacts = Some (temp_dir ()) }
+  in
+  let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let c = D.connect d ours in
+  let ic = Unix.in_channel_of_descr theirs in
+  let reply () =
+    match Harness.Hjson.parse (input_line ic) with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "unparsable reply: %s" e
+  in
+  let cell = List.nth (Spec.jobs e2e_spec) 0 in
+  D.request d c
+    (J.obj
+       [
+         ("op", J.str "submit");
+         ("kind", J.str "run");
+         ("spec", Spec.to_json e2e_spec);
+         ("algo", J.str (Spec.algo_name cell.Spec.algo));
+         ("n", J.int cell.Spec.n);
+         ("seed", J.int cell.Spec.seed);
+       ]);
+  let job =
+    match field (reply ()) "job" with Some j -> j | None -> Alcotest.fail "submit refused"
+  in
+  D.work d;
+  D.request d c (J.obj [ ("op", J.str "events"); ("job", J.str job) ]);
+  D.deliver d [ c ];
+  Unix.close ours;
+  checkb "events acknowledged" true
+    (Harness.Hjson.member "ok" (reply ()) = Some (Harness.Hjson.Bool true));
+  let rec rest acc =
+    match reply () with v -> rest (v :: acc) | exception End_of_file -> List.rev acc
+  in
+  let events = List.filter_map (fun v -> field v "event") (rest []) in
+  Alcotest.(check (list string)) "late subscriber receives done" [ "done" ] events;
+  close_in ic
+
 let () =
   Alcotest.run "serve"
     [
@@ -464,5 +511,9 @@ let () =
           Alcotest.test_case "lines and keys" `Quick test_protocol_lines_and_keys;
         ] );
       ( "daemon",
-        [ Alcotest.test_case "end to end, concurrent clients" `Slow test_daemon_end_to_end ] );
+        [
+          Alcotest.test_case "end to end, concurrent clients" `Slow test_daemon_end_to_end;
+          Alcotest.test_case "events between settle and done" `Quick
+            test_events_between_settle_and_done;
+        ] );
     ]
