@@ -68,11 +68,10 @@ let write_runner_json ~name runner =
 
 (* Every bench section's top-level JSON artifact goes through here:
    the canonical copy lands under bench_artifacts/ (ARTIFACTS_DIR
-   override respected). [~root_copy:true] — used only by the perf
-   trajectory (BENCH_engine.json) — additionally writes an identical
-   copy at ./<name>, which is where the committed trajectory history
-   lives and where CI's jq checks have always looked. Returns the
-   artifacts-dir path. *)
+   override respected). [~root_copy:true] — used only by full-size
+   perf trajectory runs (BENCH_engine.json) — additionally writes an
+   identical copy at ./<name>, where the committed full-size record
+   lives. Returns the artifacts-dir path. *)
 let write_bench_json ?(root_copy = false) ~name content =
   let path = Telemetry.Export.write_artifact ~name content in
   note "wrote %s" path;

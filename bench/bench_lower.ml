@@ -98,11 +98,7 @@ let server_sim () =
                     (fun view ->
                       if view.Congest.Node_view.id = start then
                         ( max_t - 1,
-                          Congest.Engine.send
-                            (Array.to_list
-                               (Array.map
-                                  (fun (v, _) -> (v, max_t - 1))
-                                  view.Congest.Node_view.neighbors)) )
+                          Congest.Engine.send (Congest.Node_view.to_all view (max_t - 1)) )
                       else (-1, Congest.Engine.no_action));
                   on_round =
                     (fun view ~round:_ s ~inbox ->
@@ -111,11 +107,7 @@ let server_sim () =
                       in
                       if best > 0 && best - 1 > s then
                         ( best - 1,
-                          Congest.Engine.send
-                            (Array.to_list
-                               (Array.map
-                                  (fun (v, _) -> (v, best - 1))
-                                  view.Congest.Node_view.neighbors)) )
+                          Congest.Engine.send (Congest.Node_view.to_all view (best - 1)) )
                       else (max s best, Congest.Engine.no_action));
                 }
               in
@@ -135,10 +127,7 @@ let server_sim () =
                     (fun view ->
                       if view.Congest.Node_view.id = root then
                         ( 0,
-                          Congest.Engine.send
-                            (Array.to_list
-                               (Array.map (fun (v, _) -> (v, 0)) view.Congest.Node_view.neighbors))
-                        )
+                          Congest.Engine.send (Congest.Node_view.to_all view 0) )
                       else (Graphlib.Dist.inf, Congest.Engine.no_action));
                   on_round =
                     (fun view ~round s ~inbox ->
@@ -149,11 +138,7 @@ let server_sim () =
                       in
                       if cand < s && cand = round && cand < max_t - 1 then
                         ( cand,
-                          Congest.Engine.send
-                            (Array.to_list
-                               (Array.map
-                                  (fun (v, _) -> (v, cand))
-                                  view.Congest.Node_view.neighbors)) )
+                          Congest.Engine.send (Congest.Node_view.to_all view cand) )
                       else (min cand s, Congest.Engine.no_action));
                 }
               in

@@ -13,8 +13,9 @@
    flag of bench/main.exe), defaulting to 100000,1000000 full /
    2000 smoke.
 
-   Results go to BENCH_engine.json under bench_artifacts/ plus the
-   documented root-level copy (the committed trajectory file), and
+   Results go to BENCH_engine.json under bench_artifacts/ plus, on
+   full-size runs only, the documented root-level copy (the committed
+   trajectory file), and
    each case also appends a qcongest-perf-row/v1 trajectory row under
    bench_artifacts/trajectory/ — the history `qcongest perf gate`
    regresses against. Each arm's outputs are asserted identical before
@@ -91,25 +92,24 @@ let flood_protocol : (int, int) Congest.Engine.protocol =
     size_words = (fun _ -> 1);
     init =
       (fun view ->
-        let nbrs = view.Congest.Node_view.neighbors in
         if view.Congest.Node_view.id = 0 then
-          (0, Congest.Engine.send (Array.to_list (Array.map (fun (v, _) -> (v, 1)) nbrs)))
+          (0, Congest.Engine.send (Congest.Node_view.to_all view 1))
         else (-1, Congest.Engine.no_action));
     on_round =
       (fun view ~round:_ s ~inbox ->
         if s >= 0 || inbox = [] then (s, Congest.Engine.no_action)
         else
           let lvl = List.fold_left (fun acc e -> min acc e.Congest.Engine.msg) max_int inbox in
-          let nbrs = view.Congest.Node_view.neighbors in
-          (lvl, Congest.Engine.send (Array.to_list (Array.map (fun (v, _) -> (v, lvl + 1)) nbrs))));
+          (lvl, Congest.Engine.send (Congest.Node_view.to_all view (lvl + 1))));
   }
 
-(* The seed exact-baseline arm: Dijkstra on the tuple-array adjacency
-   with the closure-compare heap, one source after another — what
-   Apsp.eccentricities compiled to before the CSR/Int_pq/Domain_pool
-   overhaul. *)
+(* The seed exact-baseline arm: Dijkstra with the closure-compare
+   heap, one source after another — what Apsp.eccentricities compiled
+   to before the packed-heap/Int_pq/Domain_pool overhaul. It reads the
+   CSR rows, the only adjacency a graph has. *)
 let reference_eccentricity g ~src =
   let n = Graphlib.Wgraph.n g in
+  let { Graphlib.Wgraph.row_start; csr_dst; csr_w } = Graphlib.Wgraph.csr g in
   let dist = Array.make n Graphlib.Dist.inf in
   let pq = Util.Pqueue.create ~n ~compare in
   dist.(src) <- 0;
@@ -120,14 +120,14 @@ let reference_eccentricity g ~src =
     | None -> continue := false
     | Some (u, du) ->
       if du = dist.(u) then
-        Array.iter
-          (fun (v, w) ->
-            let cand = Graphlib.Dist.add du w in
-            if cand < dist.(v) then begin
-              dist.(v) <- cand;
-              Util.Pqueue.insert_or_decrease pq ~key:v ~prio:cand
-            end)
-          (Graphlib.Wgraph.neighbors g u)
+        for i = row_start.(u) to row_start.(u + 1) - 1 do
+          let v = csr_dst.(i) in
+          let cand = Graphlib.Dist.add du csr_w.(i) in
+          if cand < dist.(v) then begin
+            dist.(v) <- cand;
+            Util.Pqueue.insert_or_decrease pq ~key:v ~prio:cand
+          end
+        done
   done;
   Array.fold_left max 0 dist
 
@@ -284,7 +284,8 @@ let run () =
     (Domain.recommended_domain_count ())
     (String.concat ", " (List.map string_of_int scale_ns));
   let json = cases_to_json ~jobs ~smoke cases in
-  ignore (Bench_common.write_bench_json ~root_copy:true ~name:"BENCH_engine.json" json);
+  (* Only a full-size run may replace the committed root record. *)
+  ignore (Bench_common.write_bench_json ~root_copy:(not smoke) ~name:"BENCH_engine.json" json);
   (* Perf-trajectory rows: one qcongest-perf-row/v1 per case, appended
      to the history and snapshotted for the regression gate. *)
   let rows =

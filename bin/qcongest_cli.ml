@@ -338,7 +338,7 @@ let run_trace input family n max_w cliques seed drop dup delay fault_seed artifa
         Congest.Tree.build ?faults ~sink g ~root:0)
   in
   let nn = Graphlib.Wgraph.n g in
-  let degrees = Array.init nn (fun v -> Array.length (Graphlib.Wgraph.neighbors g v)) in
+  let degrees = Array.init nn (Graphlib.Wgraph.degree g) in
   let total_degree =
     Congest.Runner.time_phase runner "degree-convergecast" (fun () ->
         Congest.Tree.convergecast ?faults ~sink g tree ~values:degrees ~combine:( + )
@@ -523,6 +523,11 @@ let resolve_store_path (spec : Harness.Spec.t) override =
   | None ->
     Filename.concat (Telemetry.Export.artifacts_dir ()) (spec.Harness.Spec.name ^ ".jsonl")
 
+(* Engine.with_deadline's own condition, checked up front so a bad
+   --deadline is a usage error (exit 2) instead of failing every job. *)
+let bad_deadline d = not (Float.is_finite d) || d < 0.0
+let bad_deadline_msg = "--deadline must be a non-negative finite number of seconds"
+
 let sweep_error msg =
   Printf.eprintf "qcongest sweep: %s\n" msg;
   2
@@ -585,6 +590,7 @@ let sweep_run jobs spec_file builtin store_override max_jobs audit fsync deadlin
     retries progress =
   set_jobs jobs;
   if retries < 1 then sweep_error "--retries must be >= 1"
+  else if Option.fold ~none:false ~some:bad_deadline deadline then sweep_error bad_deadline_msg
   else
     match load_spec spec_file builtin with
     | Error m -> sweep_error m
@@ -798,7 +804,7 @@ let sweep_cmd =
           ~doc:
             "Replace the per-batch checkpoint lines with a single live status line (rows \
              done/total, rows/s, ETA, failure/timeout/quarantine counts, rewritten in place \
-             with \\r) and export the run's job wall-time metrics as \
+             after a carriage return) and export the run's job wall-time metrics as \
              $(i,spec-name).metrics.prom (Prometheus text exposition).")
   in
   let run_term =
@@ -1020,15 +1026,21 @@ let check_sweep spec_file builtin store_override =
   | Ok spec -> with_store spec store_override (audit_sweep_store spec)
 
 let check_chaos seed deadline negative_control artifacts =
-  let report = Check.Suite.chaos ~seed ~deadline_s:deadline ~negative_control () in
-  List.iter
-    (Format.printf "%a@." Check.Report.pp_certificate)
-    report.Check.Report.certificates;
-  let name = if negative_control then "chaos.negative.json" else "chaos.report.json" in
-  Printf.printf "wrote %s\n"
-    (Telemetry.Export.write_artifact ?dir:artifacts ~name (Check.Report.to_json report));
-  Printf.printf "check: %s\n" (Check.Report.status_name (Check.Report.status report));
-  Check.Report.exit_code report
+  if bad_deadline deadline then begin
+    Printf.eprintf "qcongest check: %s\n" bad_deadline_msg;
+    2
+  end
+  else begin
+    let report = Check.Suite.chaos ~seed ~deadline_s:deadline ~negative_control () in
+    List.iter
+      (Format.printf "%a@." Check.Report.pp_certificate)
+      report.Check.Report.certificates;
+    let name = if negative_control then "chaos.negative.json" else "chaos.report.json" in
+    Printf.printf "wrote %s\n"
+      (Telemetry.Export.write_artifact ?dir:artifacts ~name (Check.Report.to_json report));
+    Printf.printf "check: %s\n" (Check.Report.status_name (Check.Report.status report));
+    Check.Report.exit_code report
+  end
 
 let check_cmd =
   let only_arg =

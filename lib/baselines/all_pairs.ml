@@ -37,17 +37,14 @@ let rec next_fresh st =
 let protocol ~sources : (state, msg) Congest.Engine.protocol =
   let source_set = Hashtbl.create 16 in
   List.iter (fun s -> Hashtbl.replace source_set s ()) sources;
-  let broadcast view m =
-    Array.to_list (Array.map (fun (v, _) -> (v, m)) view.Congest.Node_view.neighbors)
-  in
   let flush view st ~round =
     match next_fresh st with
     | None -> (st, Congest.Engine.no_action)
     | Some m ->
       st.sent <- st.sent + 1;
       let act =
-        if Queue.is_empty st.queue then Congest.Engine.send (broadcast view m)
-        else Congest.Engine.send_and_wake (broadcast view m) (round + 1)
+        if Queue.is_empty st.queue then Congest.Engine.send (Congest.Node_view.to_all view m)
+        else Congest.Engine.send_and_wake (Congest.Node_view.to_all view m) (round + 1)
       in
       (st, act)
   in

@@ -98,9 +98,9 @@ let infinite_protocol : (unit, unit) Congest.Engine.protocol =
     size_words = (fun () -> 1);
     init =
       (fun view ->
-        if view.Congest.Node_view.id = 0 && Array.length view.Congest.Node_view.neighbors > 0
-        then ((), Congest.Engine.send [ (fst view.Congest.Node_view.neighbors.(0), ()) ])
-        else ((), Congest.Engine.no_action));
+        match Congest.Node_view.to_all view () with
+        | first :: _ when view.Congest.Node_view.id = 0 -> ((), Congest.Engine.send [ first ])
+        | _ -> ((), Congest.Engine.no_action));
     on_round =
       (fun _view ~round:_ () ~inbox ->
         ((), Congest.Engine.send (List.map (fun e -> (e.Congest.Engine.src, ())) inbox)));

@@ -100,7 +100,14 @@ exception Deadline_exceeded of deadline_info
 let ambient_deadline : (float * Telemetry.Clock.t) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
+(* The one check every budget passes, explicit or ambient: a NaN limit
+   never compares greater, so it would silently disable supervision. *)
+let check_budget seconds =
+  if not (Float.is_finite seconds) || seconds < 0.0 then
+    invalid_arg "Engine.run: deadline must be a non-negative finite number of seconds"
+
 let with_deadline ?(clock = Telemetry.Clock.wall) ~seconds f =
+  check_budget seconds;
   let at = Telemetry.Clock.now clock +. seconds in
   let prev = Domain.DLS.get ambient_deadline in
   (* Nested budgets only ever shrink; comparing instants assumes nested
@@ -112,10 +119,9 @@ let with_deadline ?(clock = Telemetry.Clock.wall) ~seconds f =
   Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_deadline prev) f
 
 (* Ambient per-domain phase-span switch, mirroring [ambient_deadline]:
-   callers that cannot thread [?phase_spans] through intermediate
-   layers (the CLI's [--profile], the sweep runner) flip it for a
-   scope and every observed [run] on this domain brackets its round
-   work into spans. Off — the default — adds a single immutable bool
+   the CLI's [--profile] and the sweep runner flip it for a scope and
+   every observed [run] on this domain brackets its round work into
+   spans. Off — the default — adds a single immutable bool
    test per run, never per round. *)
 let ambient_phase_spans : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
@@ -164,7 +170,7 @@ let rec merge_uniq a b =
    instead of Hashtbl.fold min-scans; and the per-round active-set
    scan over all n inboxes is replaced by a touched-node list. *)
 let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry.Clock.wall)
-    ?phase_spans ?faults ?sink g proto =
+    ?faults ?sink g proto =
   let n = Graphlib.Wgraph.n g in
   if n = 0 then invalid_arg "Engine.run: empty graph";
   let observed = sink <> None in
@@ -172,43 +178,16 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
   (* Phase spans are pure observation on top of [observed]: the wall
      clock is only ever read when they are on, so the default path
      stays bit-identical to the pinned reference semantics. *)
-  let spans =
-    observed
-    && (match phase_spans with
-       | Some b -> b
-       | None -> Domain.DLS.get ambient_phase_spans)
-  in
+  let spans = observed && Domain.DLS.get ambient_phase_spans in
   let span_begin name r =
     emit (Telemetry.Events.Span_begin { name; round = r; wall_s = Telemetry.Clock.now clock })
   in
   let span_end name r =
     emit (Telemetry.Events.Span_end { name; round = r; wall_s = Telemetry.Clock.now clock })
   in
-  let max_w = Graphlib.Wgraph.max_weight g in
-  let views =
-    Array.init n (fun id ->
-        { Node_view.id; n; max_w; neighbors = Graphlib.Wgraph.neighbors g id })
-  in
-  let { Graphlib.Wgraph.row_start; csr_dst; csr_w = _ } = Graphlib.Wgraph.csr g in
-  let arc_count = row_start.(n) in
-  (* Directed arc id of (src, dst), or -1 if dst is not a neighbor of
-     src: rank of dst in src's sorted CSR row. One binary search serves
-     both the non-neighbor send check and the ledger index. *)
-  let arc_of ~src ~dst =
-    let lo = ref row_start.(src) and hi = ref (row_start.(src + 1) - 1) in
-    let found = ref (-1) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) lsr 1 in
-      let d = csr_dst.(mid) in
-      if d = dst then begin
-        found := mid;
-        lo := !hi + 1
-      end
-      else if d < dst then lo := mid + 1
-      else hi := mid - 1
-    done;
-    !found
-  in
+  let views = Node_view.of_graph g in
+  let csr = Graphlib.Wgraph.csr g in
+  let arc_count = csr.Graphlib.Wgraph.row_start.(n) in
   let boxes = Array.init n (fun _ -> { data = [||]; len = 0 }) in
   (* Nodes whose inbox became nonempty since the last activation round,
      in delivery order. Every delivered-to node is activated (and its
@@ -299,7 +278,9 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
       Util.Int_heap.push calendar arrival
   in
   let deliver ~round src (dst, msg) =
-    let a = arc_of ~src ~dst in
+    (* The arc id (-1 for a non-neighbor): one binary search serves
+       both the non-neighbor send check and the ledger index. *)
+    let a = Graphlib.Wgraph.find_arc csr src dst in
     if a < 0 then
       invalid_arg (Printf.sprintf "%s: node %d sent to non-neighbor %d" proto.name src dst);
     let sz = proto.size_words msg in
@@ -486,8 +467,7 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
     in
     match deadline with
     | Some budget ->
-      if not (Float.is_finite budget) || budget < 0.0 then
-        invalid_arg "Engine.run: deadline must be a non-negative finite number of seconds";
+      check_budget budget;
       let start = Telemetry.Clock.now clock in
       make ~clk:clock ~start ~limit:(start +. budget) ~budget
     | None -> (

@@ -116,12 +116,14 @@ val with_deadline : ?clock:Telemetry.Clock.t -> seconds:float -> (unit -> 'a) ->
     is domain-local, so [Util.Domain_pool] workers supervise their jobs
     independently; nested scopes only ever shrink the budget (nesting
     assumes both scopes use the same clock). The previous ambient state
-    is restored when [f] returns or raises. *)
+    is restored when [f] returns or raises. Raises [Invalid_argument]
+    (the same message as {!run}'s [?deadline]) unless [seconds] is
+    finite and non-negative. *)
 
 val with_phase_spans : (unit -> 'a) -> 'a
 (** [with_phase_spans f] runs [f] with ambient phase-span emission
     enabled: every observed {!run} started by [f] on this domain
-    (without its own explicit [?phase_spans]) brackets each scheduled
+    brackets each scheduled
     round into [engine.heap] / [engine.delivery] / [engine.compute]
     {!Telemetry.Events.Span_begin}/[Span_end] pairs on its sink. Like
     {!with_deadline} the switch is domain-local, so [Util.Domain_pool]
@@ -133,7 +135,6 @@ val run :
   ?max_rounds:int ->
   ?deadline:float ->
   ?clock:Telemetry.Clock.t ->
-  ?phase_spans:bool ->
   ?faults:Fault.t ->
   ?sink:Telemetry.Events.sink ->
   Graphlib.Wgraph.t ->
@@ -168,14 +169,13 @@ val run :
     drop); network-injected duplicate copies emit no second [Message]
     and do not add to edge load.
 
-    [?phase_spans] (default: the ambient {!with_phase_spans} switch,
-    itself off by default) brackets each scheduled round's heap
-    query, delivery work and handler execution into
-    [engine.heap]/[engine.delivery]/[engine.compute] span events on
-    the sink — the substrate [Profile.Span.of_events] attributes wall
-    time with. Spans are pure observation: they require a sink, and
-    with them off no clock is read and the run is bit-for-bit the
-    historical behaviour.
+    Inside a {!with_phase_spans} scope (off by default) an observed
+    run brackets each scheduled round's heap query, delivery work and
+    handler execution into [engine.heap]/[engine.delivery]/
+    [engine.compute] span events on the sink — the substrate
+    [Profile.Span.of_events] attributes wall time with. Spans are pure
+    observation: they require a sink, and with them off no clock is
+    read and the run is bit-for-bit the historical behaviour.
 
     [?sink] receives the full structured event stream (see
     {!Telemetry.Events}): [Run_start], per-round [Round_start],

@@ -21,11 +21,7 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?on_message ?faults ?sink g p
   in
   let observed = sink <> None in
   let emit ev = match sink with Some s -> s ev | None -> () in
-  let max_w = Graphlib.Wgraph.max_weight g in
-  let views =
-    Array.init n (fun id ->
-        { Node_view.id; n; max_w; neighbors = Graphlib.Wgraph.neighbors g id })
-  in
+  let views = Node_view.of_graph g in
   let boxes = Array.init n (fun _ -> { inbox = [] }) in
   (* Wake-up calendar: round -> nodes (possibly with duplicates; a node
      scheduled several times for one round activates once). *)

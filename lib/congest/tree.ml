@@ -51,8 +51,7 @@ let build_protocol ~root : (build_state, build_msg) Engine.protocol =
       (fun view ->
         if view.Node_view.id = root then
           ( { initial with b_parent = -1; b_level = 0 },
-            Engine.send
-              (Array.to_list (Array.map (fun (v, _) -> (v, Level 0)) view.neighbors)) )
+            Engine.send (Node_view.to_all view (Level 0)) )
         else (initial, Engine.no_action));
     on_round =
       (fun view ~round:_ s ~inbox ->
@@ -102,9 +101,7 @@ let build_protocol ~root : (build_state, build_msg) Engine.protocol =
               in
               let msgs =
                 ((parent, Child c) :: retract)
-                @ List.filter_map
-                    (fun (v, _) -> if v = parent then None else Some (v, Level my_level))
-                    (Array.to_list view.neighbors)
+                @ List.filter (fun (v, _) -> v <> parent) (Node_view.to_all view (Level my_level))
               in
               ( { s with b_parent = parent; b_level = my_level; b_adoptions = c },
                 Engine.send msgs )

@@ -1,19 +1,20 @@
 let distances g ~src =
   let n = Wgraph.n g in
   if src < 0 || src >= n then invalid_arg "Bfs.distances";
+  let { Wgraph.row_start; csr_dst; _ } = Wgraph.csr g in
   let dist = Array.make n Dist.inf in
   let queue = Queue.create () in
   dist.(src) <- 0;
   Queue.add src queue;
   while not (Queue.is_empty queue) do
     let u = Queue.pop queue in
-    Array.iter
-      (fun (v, _) ->
-        if Dist.is_inf dist.(v) then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.add v queue
-        end)
-      (Wgraph.neighbors g u)
+    for i = row_start.(u) to row_start.(u + 1) - 1 do
+      let v = csr_dst.(i) in
+      if Dist.is_inf dist.(v) then begin
+        dist.(v) <- dist.(u) + 1;
+        Queue.add v queue
+      end
+    done
   done;
   dist
 
@@ -44,6 +45,7 @@ let radius g =
 let tree g ~root =
   let n = Wgraph.n g in
   if root < 0 || root >= n then invalid_arg "Bfs.tree";
+  let { Wgraph.row_start; csr_dst; _ } = Wgraph.csr g in
   let parent = Array.make n (-1) in
   let seen = Array.make n false in
   let queue = Queue.create () in
@@ -51,14 +53,14 @@ let tree g ~root =
   Queue.add root queue;
   while not (Queue.is_empty queue) do
     let u = Queue.pop queue in
-    Array.iter
-      (fun (v, _) ->
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          parent.(v) <- u;
-          Queue.add v queue
-        end)
-      (Wgraph.neighbors g u)
+    for i = row_start.(u) to row_start.(u + 1) - 1 do
+      let v = csr_dst.(i) in
+      if not seen.(v) then begin
+        seen.(v) <- true;
+        parent.(v) <- u;
+        Queue.add v queue
+      end
+    done
   done;
   parent
 

@@ -84,29 +84,30 @@ let bounded_hop_distances g ~src ~hops =
   let n = Wgraph.n g in
   if src < 0 || src >= n then invalid_arg "Dijkstra.bounded_hop_distances";
   if hops < 0 then invalid_arg "Dijkstra.bounded_hop_distances: negative hops";
-  (* d.(v) after iteration t = least length over paths of <= t edges. *)
+  (* d.(v) after iteration t = least length over paths of <= t edges.
+     Each arc (u, v) relaxes v from u once per iteration, so every
+     undirected edge is relaxed in both directions. *)
+  let { Wgraph.row_start; csr_dst; csr_w } = Wgraph.csr g in
   let cur = Array.make n Dist.inf in
   cur.(src) <- 0;
   let next = Array.copy cur in
-  let edges = Wgraph.edge_array g in
   let changed = ref true in
   let t = ref 0 in
   while !changed && !t < hops do
     changed := false;
     Array.blit cur 0 next 0 n;
-    Array.iter
-      (fun { Wgraph.u; v; w } ->
-        let cand_v = Dist.add cur.(u) w in
-        if cand_v < next.(v) then begin
-          next.(v) <- cand_v;
-          changed := true
-        end;
-        let cand_u = Dist.add cur.(v) w in
-        if cand_u < next.(u) then begin
-          next.(u) <- cand_u;
-          changed := true
-        end)
-      edges;
+    for u = 0 to n - 1 do
+      let du = cur.(u) in
+      if Dist.is_finite du then
+        for i = row_start.(u) to row_start.(u + 1) - 1 do
+          let v = csr_dst.(i) in
+          let cand = Dist.add du csr_w.(i) in
+          if cand < next.(v) then begin
+            next.(v) <- cand;
+            changed := true
+          end
+        done
+    done;
     Array.blit next 0 cur 0 n;
     incr t
   done;

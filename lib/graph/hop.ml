@@ -5,6 +5,7 @@ let lex_compare (d1, h1) (d2, h2) =
 let distances g ~src =
   let n = Wgraph.n g in
   if src < 0 || src >= n then invalid_arg "Hop.distances";
+  let { Wgraph.row_start; csr_dst; csr_w } = Wgraph.csr g in
   let dist = Array.make n Dist.inf in
   let hops = Array.make n Dist.inf in
   let pq = Util.Pqueue.create ~n ~compare:lex_compare in
@@ -16,15 +17,15 @@ let distances g ~src =
     | None -> ()
     | Some (u, (du, hu)) ->
       if du = dist.(u) && hu = hops.(u) then
-        Array.iter
-          (fun (v, w) ->
-            let cand = (Dist.add du w, Dist.add hu 1) in
-            if lex_compare cand (dist.(v), hops.(v)) < 0 then begin
-              dist.(v) <- fst cand;
-              hops.(v) <- snd cand;
-              Util.Pqueue.insert_or_decrease pq ~key:v ~prio:cand
-            end)
-          (Wgraph.neighbors g u);
+        for i = row_start.(u) to row_start.(u + 1) - 1 do
+          let v = csr_dst.(i) in
+          let cand = (Dist.add du csr_w.(i), Dist.add hu 1) in
+          if lex_compare cand (dist.(v), hops.(v)) < 0 then begin
+            dist.(v) <- fst cand;
+            hops.(v) <- snd cand;
+            Util.Pqueue.insert_or_decrease pq ~key:v ~prio:cand
+          end
+        done;
       loop ()
   in
   loop ();

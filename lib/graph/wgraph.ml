@@ -6,23 +6,14 @@ type csr = {
   csr_w : int array;
 }
 
-type t = {
-  n : int;
-  m : int;
-  adj : (int * int) array array;
-  edge_list : edge list Lazy.t; (* normalized: u < v, deduplicated, sorted *)
-  edge_arr : edge array; (* same edges, same order *)
-  rep : csr;
-  max_w : int;
-}
+type t = { n : int; m : int; max_w : int; csr : csr }
 
 (* Construction is O(m log m) time and O(m) space with no intermediate
    lists or hash tables: validate + normalize into one private array,
-   sort it, compact duplicates in place, then fill the CSR/adjacency
-   rows in one pass. Million-edge instances build in the time the old
-   Hashtbl/cons-list path took for tens of thousands. Error messages
-   keep the historical "Wgraph.make" prefix whichever entry point
-   raised them. *)
+   sort it, compact duplicates in place, then fill the CSR rows in one
+   pass. The sorted copy is dropped once the CSR is filled: the graph
+   keeps only the three CSR arrays. Error messages keep the historical
+   "Wgraph.make" prefix whichever entry point raised them. *)
 let of_edge_array ~n raw =
   if n < 0 then invalid_arg "Wgraph.make: negative n";
   let m_all = Array.length raw in
@@ -53,65 +44,62 @@ let of_edge_array ~n raw =
     end
   done;
   let m = !m in
-  let edge_arr = if m = m_all then es else Array.sub es 0 m in
-  let deg = Array.make (max 1 n) 0 in
-  Array.iter
-    (fun { u; v; _ } ->
-      deg.(u) <- deg.(u) + 1;
-      deg.(v) <- deg.(v) + 1)
-    edge_arr;
-  let adj = Array.init n (fun u -> Array.make deg.(u) (0, 0)) in
   let row_start = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    row_start.(u + 1) <- row_start.(u) + deg.(u)
+  for i = 0 to m - 1 do
+    let { u; v; _ } = es.(i) in
+    row_start.(u + 1) <- row_start.(u + 1) + 1;
+    row_start.(v + 1) <- row_start.(v + 1) + 1
   done;
-  let csr_dst = Array.make row_start.(n) 0 in
-  let csr_w = Array.make row_start.(n) 0 in
-  let fill = Array.make (max 1 n) 0 in
-  (* Filling in sorted edge-list order leaves every adjacency row (and
-     so every CSR row) sorted by neighbor id: for node x the edges
-     {y, x} with y < x come first (ascending y), then {x, z} with
-     z > x (ascending z). [weight] binary-searches on this. *)
+  for u = 0 to n - 1 do
+    row_start.(u + 1) <- row_start.(u) + row_start.(u + 1)
+  done;
+  let csr_dst = Array.make (2 * m) 0 in
+  let csr_w = Array.make (2 * m) 0 in
+  let fill = Array.sub row_start 0 n in
+  (* Filling in sorted edge order leaves every CSR row sorted by
+     neighbor id: for node x the edges {y, x} with y < x come first
+     (ascending y), then {x, z} with z > x (ascending z). [find_arc]
+     binary-searches on this. *)
   let add u v w =
     let i = fill.(u) in
-    adj.(u).(i) <- (v, w);
-    csr_dst.(row_start.(u) + i) <- v;
-    csr_w.(row_start.(u) + i) <- w;
+    csr_dst.(i) <- v;
+    csr_w.(i) <- w;
     fill.(u) <- i + 1
   in
-  Array.iter
-    (fun { u; v; w } ->
-      add u v w;
-      add v u w)
-    edge_arr;
-  let max_w = Array.fold_left (fun acc e -> max acc e.w) 1 edge_arr in
-  {
-    n;
-    m;
-    adj;
-    edge_list = lazy (Array.to_list edge_arr);
-    edge_arr;
-    rep = { row_start; csr_dst; csr_w };
-    max_w;
-  }
+  let max_w = ref 1 in
+  for i = 0 to m - 1 do
+    let { u; v; w } = es.(i) in
+    add u v w;
+    add v u w;
+    if w > !max_w then max_w := w
+  done;
+  { n; m; max_w = !max_w; csr = { row_start; csr_dst; csr_w } }
 
 let make ~n raw = of_edge_array ~n (Array.of_list raw)
 
 let n g = g.n
 let m g = g.m
-let edges g = Lazy.force g.edge_list
-let edge_array g = g.edge_arr
-let csr g = g.rep
-let neighbors g u = g.adj.(u)
-let degree g u = Array.length g.adj.(u)
+let csr g = g.csr
 
-(* Index of [v] in [u]'s sorted CSR row, or -1. *)
-let find_arc g u v =
-  let { row_start; csr_dst; _ } = g.rep in
+(* Row by row, the arcs with v > u, consed back to front so the list
+   comes out in ascending (u, v) order. *)
+let edges g =
+  let { row_start; csr_dst; csr_w } = g.csr in
+  let acc = ref [] in
+  for u = g.n - 1 downto 0 do
+    for i = row_start.(u + 1) - 1 downto row_start.(u) do
+      if csr_dst.(i) > u then acc := { u; v = csr_dst.(i); w = csr_w.(i) } :: !acc
+    done
+  done;
+  !acc
+
+let degree g u = g.csr.row_start.(u + 1) - g.csr.row_start.(u)
+
+let find_arc { row_start; csr_dst; _ } u v =
   let lo = ref row_start.(u) and hi = ref (row_start.(u + 1) - 1) in
   let found = ref (-1) in
   while !found < 0 && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
+    let mid = (!lo + !hi) lsr 1 in
     let x = csr_dst.(mid) in
     if x = v then found := mid else if x < v then lo := mid + 1 else hi := mid - 1
   done;
@@ -119,14 +107,15 @@ let find_arc g u v =
 
 let weight g u v =
   if u < 0 || u >= g.n || v < 0 || v >= g.n then invalid_arg "Wgraph.weight";
-  let i = find_arc g u v in
-  if i < 0 then None else Some g.rep.csr_w.(i)
+  let i = find_arc g.csr u v in
+  if i < 0 then None else Some g.csr.csr_w.(i)
 
 let max_weight g = g.max_w
 
 let is_connected g =
   if g.n <= 1 then true
   else begin
+    let { row_start; csr_dst; _ } = g.csr in
     let seen = Array.make g.n false in
     let queue = Queue.create () in
     Queue.add 0 queue;
@@ -134,23 +123,46 @@ let is_connected g =
     let count = ref 1 in
     while not (Queue.is_empty queue) do
       let u = Queue.pop queue in
-      Array.iter
-        (fun (v, _) ->
-          if not seen.(v) then begin
-            seen.(v) <- true;
-            incr count;
-            Queue.add v queue
-          end)
-        g.adj.(u)
+      for i = row_start.(u) to row_start.(u + 1) - 1 do
+        let v = csr_dst.(i) in
+        if not seen.(v) then begin
+          seen.(v) <- true;
+          incr count;
+          Queue.add v queue
+        end
+      done
     done;
     !count = g.n
   end
 
 let with_unit_weights g =
-  of_edge_array ~n:g.n (Array.map (fun e -> { e with w = 1 }) g.edge_arr)
+  { g with max_w = 1; csr = { g.csr with csr_w = Array.make (2 * g.m) 1 } }
 
+(* Same topology, so [row_start] and [csr_dst] are shared and only the
+   weights are refilled. [f] runs once per edge in ascending (u, v)
+   order — the order [edges] lists them — because callers draw RNG
+   values inside it. The arc (v, u) is the next unfilled slot among
+   the smaller neighbors at the front of v's row: edges into v are
+   visited in ascending u, the order those slots are sorted in. *)
 let map_weights g ~f =
-  of_edge_array ~n:g.n (Array.map (fun { u; v; w } -> { u; v; w = f ~u ~v ~w }) g.edge_arr)
+  let { row_start; csr_dst; csr_w } = g.csr in
+  let csr_w' = Array.make (2 * g.m) 0 in
+  let back = Array.sub row_start 0 g.n in
+  let max_w = ref 1 in
+  for u = 0 to g.n - 1 do
+    for i = row_start.(u) to row_start.(u + 1) - 1 do
+      let v = csr_dst.(i) in
+      if v > u then begin
+        let w = f ~u ~v ~w:csr_w.(i) in
+        if w <= 0 then invalid_arg "Wgraph.make: non-positive weight";
+        csr_w'.(i) <- w;
+        csr_w'.(back.(v)) <- w;
+        back.(v) <- back.(v) + 1;
+        if w > !max_w then max_w := w
+      end
+    done
+  done;
+  { g with max_w = !max_w; csr = { g.csr with csr_w = csr_w' } }
 
 let induced g nodes =
   let k = List.length nodes in
@@ -172,6 +184,6 @@ let induced g nodes =
   (make ~n:k sub_edges, of_new)
 
 let pp ppf g =
-  Format.fprintf ppf "@[<v>graph n=%d m=%d@," g.n (m g);
+  Format.fprintf ppf "@[<v>graph n=%d m=%d@," g.n g.m;
   List.iter (fun { u; v; w } -> Format.fprintf ppf "  %d -[%d]- %d@," u w v) (edges g);
   Format.fprintf ppf "@]"

@@ -26,6 +26,7 @@ type validity = {
 let check_schedule (gd : Gadget.t) ~rounds =
   let g = gd.Gadget.graph in
   let n = Graphlib.Wgraph.n g in
+  let { Graphlib.Wgraph.row_start; csr_dst; _ } = Graphlib.Wgraph.csr g in
   let violation = ref None in
   (try
      for r = 1 to rounds do
@@ -33,14 +34,14 @@ let check_schedule (gd : Gadget.t) ~rounds =
          match owner gd ~round:r ~node:v with
          | Server -> ()
          | (Alice | Bob) as p ->
-           Array.iter
-             (fun (u, _) ->
-               let pu = owner gd ~round:(r - 1) ~node:u in
-               if pu <> p && pu <> Server then begin
-                 violation := Some (r, v, u);
-                 raise Exit
-               end)
-             (Graphlib.Wgraph.neighbors g v)
+           for i = row_start.(v) to row_start.(v + 1) - 1 do
+             let u = csr_dst.(i) in
+             let pu = owner gd ~round:(r - 1) ~node:u in
+             if pu <> p && pu <> Server then begin
+               violation := Some (r, v, u);
+               raise Exit
+             end
+           done
        done
      done
    with Exit -> ());

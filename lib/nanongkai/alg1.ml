@@ -17,9 +17,7 @@ let protocol ~src ~params : (state, msg) Congest.Engine.protocol =
     let sends =
       match effect.Bh_instance.broadcast with
       | None -> []
-      | Some (scale, dist) ->
-        Array.to_list
-          (Array.map (fun (v, _) -> (v, { scale; dist })) view.Congest.Node_view.neighbors)
+      | Some (scale, dist) -> Congest.Node_view.to_all view { scale; dist }
     in
     let wakes = match effect.Bh_instance.wake with None -> [] | Some r -> [ r ] in
     let sent = if sends = [] then 0 else 1 in

@@ -6,16 +6,13 @@ type output = {
 }
 
 let protocol ~src ~bound : (state, int) Congest.Engine.protocol =
-  let broadcast view d =
-    Array.to_list (Array.map (fun (v, _) -> (v, d)) view.Congest.Node_view.neighbors)
-  in
   {
     name = "alg2-bounded-distance-sssp";
     size_words = (fun _ -> 1);
     init =
       (fun view ->
         if view.Congest.Node_view.id = src then
-          ({ dist = 0; broadcasted = true }, Congest.Engine.send (broadcast view 0))
+          ({ dist = 0; broadcasted = true }, Congest.Engine.send (Congest.Node_view.to_all view 0))
         else ({ dist = Graphlib.Dist.inf; broadcasted = false }, Congest.Engine.no_action));
     on_round =
       (fun view ~round s ~inbox ->
@@ -33,7 +30,8 @@ let protocol ~src ~bound : (state, int) Congest.Engine.protocol =
         in
         if (not s.broadcasted) && Graphlib.Dist.is_finite s.dist then begin
           if s.dist = round then
-            ({ s with broadcasted = true }, Congest.Engine.send (broadcast view s.dist))
+            ( { s with broadcasted = true },
+              Congest.Engine.send (Congest.Node_view.to_all view s.dist) )
           else if s.dist > round then (s, Congest.Engine.wake s.dist)
           else (s, Congest.Engine.no_action)
         end

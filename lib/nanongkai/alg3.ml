@@ -28,9 +28,8 @@ let concurrent_protocol ~sources ~delays ~params :
           let inst, effect = Bh_instance.decide (cfg view j) inst ~round in
           (match effect.Bh_instance.broadcast with
           | Some (scale, dist) ->
-            Array.iter
-              (fun (v, _) -> sends := (v, { j; scale; dist }) :: !sends)
-              view.Congest.Node_view.neighbors
+            let msg = { j; scale; dist } in
+            Congest.Node_view.iter view (fun v _ -> sends := (v, msg) :: !sends)
           | None -> ());
           (match effect.Bh_instance.wake with Some r -> wakes := r :: !wakes | None -> ());
           inst)

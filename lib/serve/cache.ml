@@ -100,19 +100,26 @@ end
 
 (* -------------------------- fingerprints --------------------------- *)
 
+(* Hashes the edges in [Wgraph.edges] order — row by row, the arcs
+   (u, v) with v > u — read straight off the CSR. *)
 let graph_fingerprint g =
+  let n = Graphlib.Wgraph.n g in
+  let { Graphlib.Wgraph.row_start; csr_dst; csr_w } = Graphlib.Wgraph.csr g in
   let b = Buffer.create 4096 in
   Buffer.add_string b "n=";
-  Buffer.add_string b (string_of_int (Graphlib.Wgraph.n g));
-  Array.iter
-    (fun (e : Graphlib.Wgraph.edge) ->
-      Buffer.add_char b ';';
-      Buffer.add_string b (string_of_int e.Graphlib.Wgraph.u);
-      Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int e.Graphlib.Wgraph.v);
-      Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int e.Graphlib.Wgraph.w))
-    (Graphlib.Wgraph.edge_array g);
+  Buffer.add_string b (string_of_int n);
+  for u = 0 to n - 1 do
+    for i = row_start.(u) to row_start.(u + 1) - 1 do
+      if csr_dst.(i) > u then begin
+        Buffer.add_char b ';';
+        Buffer.add_string b (string_of_int u);
+        Buffer.add_char b ',';
+        Buffer.add_string b (string_of_int csr_dst.(i));
+        Buffer.add_char b ',';
+        Buffer.add_string b (string_of_int csr_w.(i))
+      end
+    done
+  done;
   Harness.Fnv.hex64 (Buffer.contents b)
 
 let cell_key (spec : Harness.Spec.t) ~n ~seed =

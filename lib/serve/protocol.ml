@@ -61,8 +61,8 @@ let options_of v =
   let retries = Option.value ~default:1 (field v "retries" Hjson.to_int_opt) in
   let deadline_s = field v "deadline_s" Hjson.to_float_opt in
   if retries < 1 then err "bad-request" "\"retries\" must be >= 1"
-  else if (match deadline_s with Some d -> d <= 0.0 | None -> false) then
-    err "bad-request" "\"deadline_s\" must be positive"
+  else if (match deadline_s with Some d -> not (Float.is_finite d) || d <= 0.0 | None -> false)
+  then err "bad-request" "\"deadline_s\" must be a positive finite number of seconds"
   else Ok { audit; retries; deadline_s }
 
 let run_cell_of v spec =

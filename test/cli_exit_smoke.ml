@@ -43,6 +43,16 @@ let () =
   expect ~what:"unknown built-in spec" 2 (sweep "run --builtin no-such-spec");
   expect ~what:"unreadable spec file" 2 (sweep "run --spec /nonexistent/spec.json");
   expect ~what:"--retries below 1" 2 (sweep "run --builtin ci-smoke --retries 0");
+  (* A NaN budget would never expire and a negative one expires at
+     once: both are usage errors, for run and its resume alias. A
+     separate "-1" reads as an unknown option to cmdliner (124), so the
+     negative value is passed attached. *)
+  expect ~what:"--deadline nan" 2 (sweep "run --builtin ci-smoke --deadline nan");
+  expect ~what:"--deadline=-1" 2 (sweep "run --builtin ci-smoke --deadline=-1");
+  expect ~what:"--deadline -1 (cmdliner parse error)" 124
+    (sweep "run --builtin ci-smoke --deadline -1");
+  expect ~what:"resume --deadline nan" 2 (sweep "resume --builtin ci-smoke --deadline nan");
+  expect ~what:"check chaos --deadline nan" 2 (Printf.sprintf "%s check chaos --deadline nan" exe);
 
   (* 2: a malformed QCONGEST_JOBS is rejected at startup, before any
      command dispatch, with a clear message. *)
@@ -61,6 +71,40 @@ let () =
      healthy gate must reject. *)
   expect ~what:"gate --negative-control rejects mis-scaled series" 3
     (sweep "gate --builtin ci-smoke --negative-control");
+
+  (* Every command's --help=plain renders without a cmdliner error (a
+     malformed doc string only shows up when its page is rendered).
+     Walk the command tree through each page's COMMANDS section. *)
+  let rec check_help path =
+    let ic = Unix.open_process_in (Printf.sprintf "%s %s --help=plain 2>&1" exe path) in
+    let lines = In_channel.input_lines ic in
+    ignore (Unix.close_process_in ic);
+    let what = Printf.sprintf "help page renders: qcongest%s" path in
+    let has_error l =
+      let k = String.length "cmdliner error" in
+      let rec go i = i + k <= String.length l && (String.sub l i k = "cmdliner error" || go (i + 1)) in
+      go 0
+    in
+    if List.exists has_error lines then begin
+      Printf.printf "FAIL %s
+%!" what;
+      incr failures
+    end
+    else Printf.printf "ok   %s
+%!" what;
+    let in_commands = ref false in
+    List.iter
+      (fun l ->
+        if l <> "" && l.[0] <> ' ' then in_commands := l = "COMMANDS"
+        else if !in_commands && String.length l > 7 && String.sub l 0 7 = "       "
+                && l.[7] <> ' '
+        then
+          match String.split_on_char ' ' (String.sub l 7 (String.length l - 7)) with
+          | name :: _ -> check_help (path ^ " " ^ name)
+          | [] -> ())
+      lines
+  in
+  check_help "";
 
   (* 124: cmdliner's own CLI-error exit for an unknown command. *)
   expect ~what:"unknown subcommand" 124 (Printf.sprintf "%s frobnicate" exe);

@@ -653,10 +653,9 @@ let exerciser_protocol : (exer, int) Engine.protocol =
     size_words = (fun m -> 1 + (abs m mod 2));
     init =
       (fun view ->
-        let nbrs = Array.to_list (Array.map fst view.Node_view.neighbors) in
         if view.Node_view.id = 0 then
           ( { level = 0; hits = 0 },
-            Engine.act ~sends:(List.map (fun v -> (v, 1)) nbrs) ~wakes:[ 3 ] () )
+            Engine.act ~sends:(Node_view.to_all view 1) ~wakes:[ 3 ] () )
         else ({ level = -1; hits = 0 }, Engine.no_action));
     on_round =
       (fun view ~round s ~inbox ->
@@ -665,16 +664,17 @@ let exerciser_protocol : (exer, int) Engine.protocol =
         if s.level < 0 && best < max_int then
           (* First contact: adopt a level, flood it, schedule echoes
              (one duplicated — the engine dedups same-round wakes). *)
-          let nbrs = Array.to_list (Array.map fst view.Node_view.neighbors) in
           ( { s with level = best },
             Engine.act
-              ~sends:(List.map (fun v -> (v, best + 1)) nbrs)
+              ~sends:(Node_view.to_all view (best + 1))
               ~wakes:[ round + 2; round + 2; round + 5 ] () )
-        else if inbox = [] && Array.length view.Node_view.neighbors > 0 && s.hits < 6 then
+        else if inbox = [] && s.hits < 6 then begin
           (* Pure wake-up: hammer one edge twice in the same round to
              exercise the per-edge-round ledger and strict mode. *)
-          let v = fst view.Node_view.neighbors.(0) in
-          (s, Engine.send [ (v, round); (v, round + 1) ])
+          match Node_view.to_all view () with
+          | (v, ()) :: _ -> (s, Engine.send [ (v, round); (v, round + 1) ])
+          | [] -> (s, Engine.no_action)
+        end
         else (s, Engine.no_action));
   }
 
@@ -832,6 +832,21 @@ let test_deadline_invalid () =
   expect_invalid Float.nan;
   expect_invalid Float.infinity
 
+(* The ambient scope rejects the same budgets with the same message: a
+   NaN limit would otherwise never compare greater, leaving every run
+   unsupervised, and a negative one would time every run out. *)
+let test_with_deadline_invalid () =
+  let g = unit_path 2 in
+  List.iter
+    (fun d ->
+      Alcotest.check_raises (Printf.sprintf "with_deadline %h" d)
+        (Invalid_argument "Engine.run: deadline must be a non-negative finite number of seconds")
+        (fun () ->
+          ignore (Engine.with_deadline ~seconds:d (fun () -> Engine.run g relay_protocol))))
+    [ -1.0; Float.nan; Float.infinity; Float.neg_infinity ];
+  (* The failed scope installed nothing: a plain run is unsupervised. *)
+  ignore (Engine.run g relay_protocol)
+
 let test_deadline_ambient () =
   (* with_deadline supervises Engine.run calls it cannot reach through
      the call stack — the Runner-to-algorithm path. *)
@@ -926,9 +941,43 @@ let test_runner_pp_and_json () =
   checkb "json has total" true (contains json "\"total\":{");
   checkb "json carries fault stats" true (contains json "\"dropped\":2")
 
+(* ---------------------------- Node_view ---------------------------- *)
+
+let prop_node_view_matches_reference =
+  (* Each view reads its node's CSR row; every accessor must agree with
+     the naive reference built from the raw (unnormalized) edge list. *)
+  QCheck.Test.make ~name:"Node_view = Hashtbl reference (all accessors, to_all)" ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let n, raw = Graph_reference.raw_edges seed in
+      let tbl = Graph_reference.table raw in
+      let views = Node_view.of_graph (Graphlib.Wgraph.make ~n raw) in
+      let w_max = Graph_reference.max_weight tbl in
+      let ok = ref (Array.length views = n) in
+      Array.iteri
+        (fun u (view : Node_view.t) ->
+          let row = Graph_reference.row tbl u in
+          let seen = ref [] in
+          Node_view.iter view (fun v w -> seen := (v, w) :: !seen);
+          for v = -1 to n do
+            let expected = Graph_reference.weight tbl u v in
+            if Node_view.edge_weight view v <> expected
+               || Node_view.is_neighbor view v <> (expected <> None)
+            then ok := false
+          done;
+          if not
+               (view.id = u && view.n = n && view.max_w = w_max
+               && Node_view.degree view = List.length row
+               && List.rev !seen = row
+               && Node_view.to_all view 'x' = List.map (fun (v, _) -> (v, 'x')) row)
+          then ok := false)
+        views;
+      !ok)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_node_view_matches_reference;
       prop_tree_is_bfs;
       prop_children_match_parents;
       prop_gather_broadcast_complete;
@@ -1005,6 +1054,8 @@ let () =
           Alcotest.test_case "fires with manual clock" `Quick test_deadline_fires;
           Alcotest.test_case "zero budget" `Quick test_deadline_zero_budget;
           Alcotest.test_case "invalid budgets rejected" `Quick test_deadline_invalid;
+          Alcotest.test_case "invalid ambient budgets rejected" `Quick
+            test_with_deadline_invalid;
           Alcotest.test_case "ambient with_deadline" `Quick test_deadline_ambient;
           Alcotest.test_case "unset/generous deadline is identity" `Quick
             test_deadline_unset_is_identity;

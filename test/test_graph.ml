@@ -68,7 +68,11 @@ let test_unit_weights () =
   let g = Gen.path ~n:5 ~weighting:(Gen.Uniform { max_w = 9 }) ~rng in
   let u = Wgraph.with_unit_weights g in
   check "same m" (Wgraph.m g) (Wgraph.m u);
-  check "unit W" 1 (Wgraph.max_weight u)
+  check "unit W" 1 (Wgraph.max_weight u);
+  let c = Wgraph.csr g and c' = Wgraph.csr u in
+  checkb "topology shared" true
+    (c'.Wgraph.row_start == c.Wgraph.row_start && c'.Wgraph.csr_dst == c.Wgraph.csr_dst);
+  checkb "all arcs weigh 1" true (Array.for_all (( = ) 1) c'.Wgraph.csr_w)
 
 (* --------------------------- Generators --------------------------- *)
 
@@ -235,7 +239,7 @@ let prop_dijkstra_scale_across_boundary =
       let scale = (packed_weight_threshold n / 10) + 1 in
       let big =
         Wgraph.make ~n
-          (Array.to_list (Wgraph.edge_array g)
+          (Wgraph.edges g
           |> List.map (fun e -> { e with Wgraph.w = e.Wgraph.w * scale }))
       in
       let d = Dijkstra.distances g ~src:0 in
@@ -466,6 +470,9 @@ let prop_lemma_4_3 =
 
 (* ------------------------ CSR / representation --------------------- *)
 
+(* Structural invariants of the CSR itself: 2m arcs, monotone rows,
+   strictly ascending neighbors, and every arc mirrored with the same
+   weight. *)
 let test_wgraph_csr_structure () =
   let g = random_graph 42 in
   let n = Wgraph.n g in
@@ -476,37 +483,73 @@ let test_wgraph_csr_structure () =
   check "w length" row_start.(n) (Array.length csr_w);
   for u = 0 to n - 1 do
     checkb "rows monotone" true (row_start.(u) <= row_start.(u + 1));
-    let nbrs = Wgraph.neighbors g u in
-    check "row = degree" (Array.length nbrs) (row_start.(u + 1) - row_start.(u));
-    Array.iteri
-      (fun i (v, w) ->
-        let a = row_start.(u) + i in
-        check "csr dst = neighbors" v csr_dst.(a);
-        check "csr w = neighbors" w csr_w.(a);
-        if i > 0 then checkb "row sorted" true (csr_dst.(a - 1) < csr_dst.(a)))
-      nbrs
+    check "row = degree" (Wgraph.degree g u) (row_start.(u + 1) - row_start.(u));
+    for a = row_start.(u) to row_start.(u + 1) - 1 do
+      if a > row_start.(u) then checkb "row sorted" true (csr_dst.(a - 1) < csr_dst.(a));
+      let back = Wgraph.find_arc (Wgraph.csr g) csr_dst.(a) u in
+      checkb "arc mirrored" true (back >= 0 && csr_w.(back) = csr_w.(a))
+    done
   done
 
-let test_wgraph_edge_array () =
-  let g = random_graph 43 in
-  Alcotest.(check int) "edge_array mirrors edges" 0
-    (if Array.to_list (Wgraph.edge_array g) = Wgraph.edges g then 0 else 1);
-  List.iter
-    (fun { Wgraph.u; v; w = _ } -> checkb "u < v" true (u < v))
-    (Wgraph.edges g)
+(* A built graph retains its CSR and nothing else: the arrays plus the
+   two small records around them. *)
+let test_wgraph_reachable_words () =
+  let csr_words g =
+    let { Wgraph.row_start; csr_dst; csr_w } = Wgraph.csr g in
+    Array.length row_start + Array.length csr_dst + Array.length csr_w + 3
+  in
+  let pinned name g bound =
+    let words = Obj.reachable_words (Obj.repr g) in
+    checkb (name ^ ": CSR + small constant") true (words <= csr_words g + 16);
+    checkb (Printf.sprintf "%s: %d <= %d" name words bound) true (words <= bound)
+  in
+  let rng = Util.Rng.create ~seed:1 in
+  pinned "cliques_cycle 6x8"
+    (Gen.cliques_cycle ~cliques:6 ~clique_size:8 ~weighting:(Gen.Uniform { max_w = 16 }) ~rng)
+    800;
+  let rng = Util.Rng.create ~seed:4 in
+  pinned "random tree 1e5" (Gen.random_tree ~n:100_000 ~weighting:Gen.Unit ~rng) 500_100
+
+let graph_of_raw seed =
+  let n, raw = Graph_reference.raw_edges seed in
+  (n, Graph_reference.table raw, Wgraph.make ~n raw)
+
+let csr_row g u =
+  let { Wgraph.row_start; csr_dst; csr_w } = Wgraph.csr g in
+  List.init (row_start.(u + 1) - row_start.(u)) (fun i ->
+      (csr_dst.(row_start.(u) + i), csr_w.(row_start.(u) + i)))
+
+let prop_wgraph_matches_reference =
+  QCheck.Test.make ~name:"Wgraph = Hashtbl reference (edges, m, degree, rows, W)" ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let n, tbl, g = graph_of_raw seed in
+      let ok = ref (Wgraph.n g = n) in
+      if Wgraph.edges g <> Graph_reference.edges tbl then ok := false;
+      if Wgraph.m g <> Hashtbl.length tbl then ok := false;
+      if Wgraph.max_weight g <> Graph_reference.max_weight tbl then ok := false;
+      for u = 0 to n - 1 do
+        let row = Graph_reference.row tbl u in
+        if Wgraph.degree g u <> List.length row || csr_row g u <> row then ok := false
+      done;
+      !ok)
 
 let prop_weight_lookup_matches_scan =
-  (* The binary-search [weight] must agree with a naive scan of the
-     adjacency row on every pair, present or absent. *)
-  QCheck.Test.make ~name:"Wgraph.weight = linear scan on all pairs" ~count:60
-    QCheck.(int_range 0 10_000)
+  (* The binary-search [weight] must agree with a linear scan of the
+     raw edge list (minimum over parallel edges, either orientation)
+     on every pair, present or absent. *)
+  QCheck.Test.make ~name:"Wgraph.weight = linear scan on all pairs" ~count:200
+    QCheck.(int_range 0 100_000)
     (fun seed ->
-      let g = random_graph seed in
-      let n = Wgraph.n g in
+      let n, raw = Graph_reference.raw_edges seed in
+      let g = Wgraph.make ~n raw in
       let scan u v =
-        Array.fold_left
-          (fun acc (x, w) -> if x = v then Some w else acc)
-          None (Wgraph.neighbors g u)
+        List.fold_left
+          (fun acc { Wgraph.u = a; v = b; w } ->
+            if (a = u && b = v) || (a = v && b = u) then
+              Some (match acc with Some w' -> min w w' | None -> w)
+            else acc)
+          None raw
       in
       let ok = ref true in
       for u = 0 to n - 1 do
@@ -521,6 +564,28 @@ let prop_weight_lookup_matches_scan =
         | _ -> false
       in
       !ok && raises 0 n && raises (-1) 0)
+
+let prop_map_weights_in_edge_order =
+  (* [map_weights] calls [f] once per edge in [edges] order — so an
+     RNG-drawing [f] matches [make] over the mapped edge list with an
+     identically seeded RNG — and shares the topology arrays. *)
+  QCheck.Test.make ~name:"map_weights = make over mapped edges, topology shared" ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let n, _, g = graph_of_raw seed in
+      let draw rng = Util.Rng.int_in rng ~lo:1 ~hi:50 in
+      let rng = Util.Rng.create ~seed in
+      let mapped = Wgraph.map_weights g ~f:(fun ~u:_ ~v:_ ~w -> w + draw rng) in
+      let rng = Util.Rng.create ~seed in
+      let expected =
+        Wgraph.make ~n (List.map (fun e -> { e with Wgraph.w = e.Wgraph.w + draw rng }) (Wgraph.edges g))
+      in
+      let c = Wgraph.csr g and c' = Wgraph.csr mapped in
+      Wgraph.edges mapped = Wgraph.edges expected
+      && Wgraph.csr mapped = Wgraph.csr expected
+      && Wgraph.max_weight mapped = Wgraph.max_weight expected
+      && c'.Wgraph.row_start == c.Wgraph.row_start
+      && c'.Wgraph.csr_dst == c.Wgraph.csr_dst)
 
 let prop_apsp_jobs_invariant =
   (* Domain-parallel APSP returns exactly the serial sweep at any job
@@ -550,7 +615,9 @@ let qsuite =
       prop_reweight_sandwich;
       prop_skeleton_good_approx;
       prop_lemma_4_3;
+      prop_wgraph_matches_reference;
       prop_weight_lookup_matches_scan;
+      prop_map_weights_in_edge_order;
       prop_apsp_jobs_invariant;
     ]
 
@@ -565,7 +632,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_wgraph_errors;
           Alcotest.test_case "induced" `Quick test_wgraph_induced;
           Alcotest.test_case "csr structure" `Quick test_wgraph_csr_structure;
-          Alcotest.test_case "edge array" `Quick test_wgraph_edge_array;
+          Alcotest.test_case "reachable words" `Quick test_wgraph_reachable_words;
           Alcotest.test_case "unit weights" `Quick test_unit_weights;
         ] );
       ( "generators",

@@ -194,9 +194,10 @@ let test_gadget_radius_variant () =
   checkb "structural" true (Gadget.structural_ok gd);
   (* a_0's edges all weigh 2α. *)
   let a0 = Gadget.id_of gd Gadget.A_zero in
-  Array.iter
-    (fun (_, w) -> check "2 alpha" (2 * gd.Gadget.alpha) w)
-    (Graphlib.Wgraph.neighbors gd.Gadget.graph a0);
+  let { Graphlib.Wgraph.row_start; csr_w; _ } = Graphlib.Wgraph.csr gd.Gadget.graph in
+  for i = row_start.(a0) to row_start.(a0 + 1) - 1 do
+    check "2 alpha" (2 * gd.Gadget.alpha) csr_w.(i)
+  done;
   check "a0 degree = 2^s" s2 (Graphlib.Wgraph.degree gd.Gadget.graph a0)
 
 let test_gadget_unweighted_diameter_logn () =
@@ -363,21 +364,14 @@ let test_count_protocol_bound () =
               (fun view ->
                 if view.Congest.Node_view.id = Gadget.id_of gd (Gadget.A 1) then
                   ( max_rounds - 1,
-                    Congest.Engine.send
-                      (Array.to_list
-                         (Array.map
-                            (fun (v, _) -> (v, max_rounds - 1))
-                            view.Congest.Node_view.neighbors)) )
+                    Congest.Engine.send (Congest.Node_view.to_all view (max_rounds - 1)) )
                 else (-1, Congest.Engine.no_action));
             on_round =
               (fun view ~round:_ s ~inbox ->
                 let best = List.fold_left (fun a { Congest.Engine.msg; _ } -> max a msg) (-1) inbox in
                 if best > 0 && best - 1 > s then
                   ( best - 1,
-                    Congest.Engine.send
-                      (Array.to_list
-                         (Array.map (fun (v, _) -> (v, best - 1)) view.Congest.Node_view.neighbors))
-                  )
+                    Congest.Engine.send (Congest.Node_view.to_all view (best - 1)) )
                 else (max s best, Congest.Engine.no_action));
           }
         in

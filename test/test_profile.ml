@@ -142,9 +142,9 @@ let test_span_exporters () =
   in
   checks "zero-self frames folded away" "wrap;leaf 2000000\n" (P.Span.folded t0)
 
-(* The engine's opt-in phase spans: every scheduled round brackets
-   heap/delivery/compute, and replaying the stream attributes all
-   engine time to the three phases. *)
+(* The engine's opt-in phase spans (a [with_phase_spans] scope): every
+   scheduled round brackets heap/delivery/compute, and replaying the
+   stream attributes all engine time to the three phases. *)
 let test_engine_phase_spans () =
   let rng = Util.Rng.create ~seed:0 in
   let g = Graphlib.Gen.path ~n:6 ~weighting:Graphlib.Gen.Unit ~rng in
@@ -168,7 +168,7 @@ let test_engine_phase_spans () =
     }
   in
   let sink, drain = E.collector () in
-  let states, trace = Congest.Engine.run ~sink ~phase_spans:true g relay in
+  let states, trace = Congest.Engine.with_phase_spans (fun () -> Congest.Engine.run ~sink g relay) in
   let t = P.Span.of_events (drain ()) in
   let phase name =
     match P.Span.find t [ name ] with
@@ -186,11 +186,7 @@ let test_engine_phase_spans () =
   let plain_states, plain_trace = Congest.Engine.run g relay in
   checkb "states unchanged" true (states = plain_states);
   checkb "trace unchanged" true (trace = plain_trace);
-  (* Ambient opt-in reaches engines the caller cannot see, and resets. *)
-  let sink2, drain2 = E.collector () in
-  let _ = Congest.Engine.with_phase_spans (fun () -> Congest.Engine.run ~sink:sink2 g relay) in
-  checkb "ambient spans emitted" true
-    (List.exists (function E.Span_begin _ -> true | _ -> false) (drain2 ()));
+  (* The ambient switch resets when its scope ends. *)
   let sink3, drain3 = E.collector () in
   let _ = Congest.Engine.run ~sink:sink3 g relay in
   checkb "ambient flag restored" false

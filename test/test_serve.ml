@@ -212,6 +212,22 @@ let test_protocol_total () =
   expect_error ~code:"bad-request" {|{"proto":"qcongest-serve/v1","op":"status"}|};
   expect_error ~code:"bad-request"
     {|{"proto":"qcongest-serve/v1","op":"submit","kind":"sweep","builtin":"ci-smoke","retries":0}|};
+  (* Budgets must be positive and finite: 1e999 parses to infinity,
+     which would disable supervision. *)
+  List.iter
+    (fun d ->
+      expect_error ~code:"bad-request"
+        (Printf.sprintf
+           {|{"proto":"qcongest-serve/v1","op":"submit","kind":"sweep","builtin":"ci-smoke","deadline_s":%s}|}
+           d))
+    [ "0"; "-1.5"; "1e999"; "-1e999" ];
+  (match
+     parse_line
+       {|{"proto":"qcongest-serve/v1","op":"submit","kind":"sweep","builtin":"ci-smoke","deadline_s":2.5}|}
+   with
+  | _, Ok (Serve.Protocol.Submit (Serve.Protocol.Sweep { options; _ })) ->
+    checkb "finite deadline kept" true (options.Serve.Protocol.deadline_s = Some 2.5)
+  | _ -> Alcotest.fail "finite deadline_s refused");
   expect_error ~code:"bad-spec"
     {|{"proto":"qcongest-serve/v1","op":"submit","kind":"sweep","builtin":"no-such-spec"}|};
   expect_error ~code:"bad-spec"
