@@ -56,9 +56,11 @@ let deadline_arm () =
   let rng = Util.Rng.create ~seed:5 in
   let g = Graphlib.Gen.path ~n ~weighting:Graphlib.Gen.Unit ~rng in
   let reps = if smoke () then 3 else 5 in
-  let unsupervised () = Congest.Engine.run ~max_rounds:(n + 5) g relay_protocol in
+  let config = { Congest.Engine.default_config with max_rounds = n + 5 } in
+  let unsupervised () = Congest.Engine.run ~config g relay_protocol in
   let supervised () =
-    Congest.Engine.run ~deadline:3600.0 ~max_rounds:(n + 5) g relay_protocol
+    Congest.Engine.with_deadline ~seconds:3600.0 (fun () ->
+        Congest.Engine.run ~config g relay_protocol)
   in
   let (s0, t0), (s1, t1) = (best_of reps unsupervised, best_of reps supervised) in
   if fst s0 <> fst s1 || snd s0 <> snd s1 then

@@ -111,7 +111,8 @@ let server_sim () =
                       else (max s best, Congest.Engine.no_action));
                 }
               in
-              let _, trace = Congest.Engine.run ~sink gd.Lowerbound.Gadget.graph proto in
+              let config = { Congest.Engine.default_config with sink = Some sink } in
+              let _, trace = Congest.Engine.run ~config gd.Lowerbound.Gadget.graph proto in
               trace.Congest.Engine.rounds );
           ( "bounded wavefront (Alg2-style)",
             fun ~sink ->
@@ -142,7 +143,8 @@ let server_sim () =
                       else (min cand s, Congest.Engine.no_action));
                 }
               in
-              let _, trace = Congest.Engine.run ~sink topo proto in
+              let config = { Congest.Engine.default_config with sink = Some sink } in
+              let _, trace = Congest.Engine.run ~config topo proto in
               trace.Congest.Engine.rounds );
         ]
       in

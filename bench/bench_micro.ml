@@ -98,8 +98,9 @@ let sweep_graph () =
 let test_reliable_bfs =
   let g = sweep_graph () in
   let faults = Congest.Fault.make ~seed:7 ~drop:0.1 () in
+  let config = { Congest.Engine.default_config with faults = Some faults } in
   Test.make ~name:"fault:reliable-bfs(n=24,drop=0.1)"
-    (Staged.stage (fun () -> ignore (Congest.Tree.build ~faults g ~root:0)))
+    (Staged.stage (fun () -> ignore (Congest.Tree.build ~config g ~root:0)))
 
 let benchmarks =
   Test.make_grouped ~name:"paper-artifacts"
@@ -128,7 +129,8 @@ let loss_sweep () =
   List.iter
     (fun drop ->
       let faults = Congest.Fault.make ~seed:7 ~drop () in
-      let tree, tr = Congest.Tree.build ~faults g ~root:0 in
+      let config = { Congest.Engine.default_config with faults = Some faults } in
+      let tree, tr = Congest.Tree.build ~config g ~root:0 in
       let ok = tree.Congest.Tree.level = base_tree.Congest.Tree.level in
       Util.Table.add_row t
         [ Printf.sprintf "%.2f" drop; string_of_int tr.Congest.Engine.rounds;

@@ -217,10 +217,11 @@ let run_faults input family n max_w cliques seed drop dup delay crashes strict b
       exit 2
   in
   Format.printf "adversary: %a@." Congest.Fault.pp faults;
-  let base_tree, base = Congest.Tree.build ~bandwidth g ~root:0 in
-  let config = { Congest.Reliable.default_config with Congest.Reliable.timeout } in
+  let config = { Congest.Engine.default_config with bandwidth } in
+  let base_tree, base = Congest.Tree.build ~config g ~root:0 in
+  let reliable = { Congest.Reliable.default_config with Congest.Reliable.timeout } in
   let tree, tr =
-    try Congest.Tree.build ~bandwidth ~faults ~reliable:config g ~root:0
+    try Congest.Tree.build ~config:{ config with faults = Some faults } ~reliable g ~root:0
     with Invalid_argument msg ->
       Printf.eprintf "qcongest: %s\n" msg;
       exit 2
@@ -327,6 +328,7 @@ let run_trace input family n max_w cliques seed drop dup delay fault_seed artifa
   (match faults with
   | Some f -> Format.printf "adversary: %a@." Congest.Fault.pp f
   | None -> ());
+  let config = { Congest.Engine.default_config with faults; sink = Some sink } in
   (* With --profile every engine round is additionally bracketed into
      engine.heap/delivery/compute spans, nested under the phase spans. *)
   let scoped f = if profile then Congest.Engine.with_phase_spans f else f () in
@@ -335,18 +337,18 @@ let run_trace input family n max_w cliques seed drop dup delay fault_seed artifa
      up it, a pipelined broadcast down it — each phase a span. *)
   let tree =
     Congest.Runner.time_phase runner "bfs-tree" (fun () ->
-        Congest.Tree.build ?faults ~sink g ~root:0)
+        Congest.Tree.build ~config g ~root:0)
   in
   let nn = Graphlib.Wgraph.n g in
   let degrees = Array.init nn (Graphlib.Wgraph.degree g) in
   let total_degree =
     Congest.Runner.time_phase runner "degree-convergecast" (fun () ->
-        Congest.Tree.convergecast ?faults ~sink g tree ~values:degrees ~combine:( + )
+        Congest.Tree.convergecast ~config g tree ~values:degrees ~combine:( + )
           ~size_words:(fun _ -> 1))
   in
   let _per_node =
     Congest.Runner.time_phase runner "token-broadcast" (fun () ->
-        Congest.Tree.broadcast_tokens ?faults ~sink g tree ~tokens:[ tree.Congest.Tree.depth ]
+        Congest.Tree.broadcast_tokens ~config g tree ~tokens:[ tree.Congest.Tree.depth ]
           ~size_words:(fun _ -> 1))
   in
   Printf.printf "tree depth = %d, sum of degrees = %d (= 2m = %d)\n" tree.Congest.Tree.depth

@@ -87,7 +87,7 @@ let protocol ~sources : (state, msg) Congest.Engine.protocol =
 let run g ~sources =
   let n = Graphlib.Wgraph.n g in
   List.iter (fun s -> if s < 0 || s >= n then invalid_arg "All_pairs.run: source range") sources;
-  let states, trace = Congest.Engine.run ~max_rounds:100_000_000 g (protocol ~sources) in
+  let states, trace = Congest.Engine.run ~config:{ Congest.Engine.default_config with max_rounds = 100_000_000 } g (protocol ~sources) in
   let dist =
     Array.map
       (fun st ->

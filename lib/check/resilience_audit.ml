@@ -109,7 +109,7 @@ let infinite_protocol : (unit, unit) Congest.Engine.protocol =
 (* The round-limit backstop under the planted infinite protocol: if a
    broken deadline never fires, the audit must fail fast (with a
    round-limit row or violation), not hang. *)
-let backstop_rounds = 2_000_000
+let backstop = { Congest.Engine.default_config with max_rounds = 2_000_000 }
 
 let flip_byte line =
   let i = String.length line / 2 in
@@ -217,7 +217,10 @@ let deadline_certificate ~seed ~deadline_s ~negative_control =
      by the cooperative deadline, not by the round-limit backstop. *)
   let t0 = Unix.gettimeofday () in
   let outcome =
-    match Congest.Engine.run ~deadline:deadline_s ~max_rounds:backstop_rounds g infinite_protocol with
+    match
+      Congest.Engine.with_deadline ~seconds:deadline_s (fun () ->
+          Congest.Engine.run ~config:backstop g infinite_protocol)
+    with
     | _ -> `Quiesced
     | exception Congest.Engine.Deadline_exceeded info -> `Deadline info
     | exception Congest.Engine.Round_limit_exceeded _ -> `Round_limit
@@ -255,11 +258,14 @@ let deadline_certificate ~seed ~deadline_s ~negative_control =
           (if negative_control then
              (* Sabotage: the supervisor forgot to arm the deadline;
                 the job dies on the round limit instead. *)
-             ignore (Congest.Engine.run ~max_rounds:100_000 g infinite_protocol)
+             ignore
+               (Congest.Engine.run
+                  ~config:{ Congest.Engine.default_config with max_rounds = 100_000 }
+                  g infinite_protocol)
            else
              ignore
-               (Congest.Engine.run ~deadline:deadline_s ~max_rounds:backstop_rounds g
-                  infinite_protocol));
+               (Congest.Engine.with_deadline ~seconds:deadline_s (fun () ->
+                    Congest.Engine.run ~config:backstop g infinite_protocol)));
           "{}")
     else Runner.run_job ~attempt spec j
   in

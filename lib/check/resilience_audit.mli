@@ -12,7 +12,7 @@
       run's, losing no row.
     - {b chaos-deadline} — a never-terminating protocol is planted
       both directly under {!Congest.Engine.run} (the cooperative
-      [?deadline] must raise within tolerance of its budget) and as a
+      [with_deadline] scope must raise within tolerance of its budget) and as a
       sweep job (which must settle as a [status:"timeout"] row with
       the sweep completing around it).
     - {b chaos-retry} — a job fails its first two attempts; the

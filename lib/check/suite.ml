@@ -24,7 +24,8 @@ let instance cfg =
 let congest cfg =
   let g = instance cfg in
   let sink, drain = E.collector () in
-  let _tree, trace = Congest.Tree.build g ~root:0 ~sink in
+  let config = { Congest.Engine.default_config with sink = Some sink } in
+  let _tree, trace = Congest.Tree.build ~config g ~root:0 in
   let events = drain () in
   let events =
     if cfg.negative_control then

@@ -91,44 +91,54 @@ type deadline_info = {
 
 exception Deadline_exceeded of deadline_info
 
-(* Ambient per-domain deadline: an absolute instant (plus the clock it
-   was read from) that every [run] on this domain inherits when its
-   caller cannot thread [?deadline] through intermediate layers (the
-   sweep runner supervises whole algorithm executions this way). Being
-   domain-local it is safe under [Util.Domain_pool] fan-out: each
-   worker domain carries its own budget. *)
-let ambient_deadline : (float * Telemetry.Clock.t) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+type config = {
+  bandwidth : int;
+  max_rounds : int;
+  faults : Fault.t option;
+  sink : Telemetry.Events.sink option;
+}
 
-(* The one check every budget passes, explicit or ambient: a NaN limit
-   never compares greater, so it would silently disable supervision. *)
-let check_budget seconds =
-  if not (Float.is_finite seconds) || seconds < 0.0 then
-    invalid_arg "Engine.run: deadline must be a non-negative finite number of seconds"
+let default_config = { bandwidth = 1; max_rounds = 1_000_000; faults = None; sink = None }
+
+(* The ambient per-domain scope every [run] on this domain inherits:
+   the supervising deadline, if any, and the phase-span switch. It
+   reaches runs their callers cannot thread arguments through (the
+   sweep runner supervises and profiles whole algorithm executions this
+   way). Being domain-local it is safe under [Util.Domain_pool]
+   fan-out: each worker domain carries its own scope. [deadline] is the
+   enforcing [with_deadline] scope: the instant it opened and its
+   budget, both on its [clock]. *)
+type scope_deadline = { opened : float; seconds : float; clock : Telemetry.Clock.t }
+type ambient = { deadline : scope_deadline option; phase_spans : bool }
+
+let ambient : ambient Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { deadline = None; phase_spans = false })
+
+(* Run [f] with [enter] applied to the ambient scope, then [leave] on
+   return or raise. Each scope rewrites only its own field on both
+   edges, so an inner scope of the other kind is never undone. *)
+let scoped enter leave f =
+  Domain.DLS.set ambient (enter (Domain.DLS.get ambient));
+  Fun.protect f ~finally:(fun () ->
+      Domain.DLS.set ambient (leave (Domain.DLS.get ambient)))
 
 let with_deadline ?(clock = Telemetry.Clock.wall) ~seconds f =
-  check_budget seconds;
-  let at = Telemetry.Clock.now clock +. seconds in
-  let prev = Domain.DLS.get ambient_deadline in
-  (* Nested budgets only ever shrink; comparing instants assumes nested
-     scopes share one clock (they do in this repo). *)
-  let merged =
-    match prev with Some (p, _) when p <= at -> prev | _ -> Some (at, clock)
-  in
-  Domain.DLS.set ambient_deadline merged;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_deadline prev) f
-
-(* Ambient per-domain phase-span switch, mirroring [ambient_deadline]:
-   the CLI's [--profile] and the sweep runner flip it for a scope and
-   every observed [run] on this domain brackets its round work into
-   spans. Off — the default — adds a single immutable bool
-   test per run, never per round. *)
-let ambient_phase_spans : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
+  (* A NaN budget never compares greater, so it would silently disable
+     supervision; a negative one would time every run out. *)
+  if not (Float.is_finite seconds) || seconds < 0.0 then
+    invalid_arg "Engine.run: deadline must be a non-negative finite number of seconds";
+  let mine = { opened = Telemetry.Clock.now clock; seconds; clock } in
+  let prev = (Domain.DLS.get ambient).deadline in
+  (* Nested budgets only ever shrink: the scope ending first enforces.
+     Comparing instants assumes nested scopes share one clock (they do
+     in this repo). *)
+  let ends d = d.opened +. d.seconds in
+  let deadline = match prev with Some p when ends p <= ends mine -> prev | _ -> Some mine in
+  scoped (fun a -> { a with deadline }) (fun a -> { a with deadline = prev }) f
 
 let with_phase_spans f =
-  let prev = Domain.DLS.get ambient_phase_spans in
-  Domain.DLS.set ambient_phase_spans true;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_phase_spans prev) f
+  let prev = (Domain.DLS.get ambient).phase_spans in
+  scoped (fun a -> { a with phase_spans = true }) (fun a -> { a with phase_spans = prev }) f
 
 (* Inboxes are reusable growable buffers: envelopes are appended in
    arrival order and the live prefix is snapshotted (and stably sorted
@@ -169,22 +179,22 @@ let rec merge_uniq a b =
    list; the next event round comes from one lazy-deletion int heap
    instead of Hashtbl.fold min-scans; and the per-round active-set
    scan over all n inboxes is replaced by a touched-node list. *)
-let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry.Clock.wall)
-    ?faults ?sink g proto =
+let run ?(config = default_config) g proto =
+  let { bandwidth; max_rounds; faults; sink } = config in
   let n = Graphlib.Wgraph.n g in
   if n = 0 then invalid_arg "Engine.run: empty graph";
   let observed = sink <> None in
   let emit ev = match sink with Some s -> s ev | None -> () in
+  let scope = Domain.DLS.get ambient in
   (* Phase spans are pure observation on top of [observed]: the wall
      clock is only ever read when they are on, so the default path
      stays bit-identical to the pinned reference semantics. *)
-  let spans = observed && Domain.DLS.get ambient_phase_spans in
+  let spans = observed && scope.phase_spans in
+  let stamp () = Telemetry.Clock.now Telemetry.Clock.wall in
   let span_begin name r =
-    emit (Telemetry.Events.Span_begin { name; round = r; wall_s = Telemetry.Clock.now clock })
+    emit (Telemetry.Events.Span_begin { name; round = r; wall_s = stamp () })
   in
-  let span_end name r =
-    emit (Telemetry.Events.Span_end { name; round = r; wall_s = Telemetry.Clock.now clock })
-  in
+  let span_end name r = emit (Telemetry.Events.Span_end { name; round = r; wall_s = stamp () }) in
   let views = Node_view.of_graph g in
   let csr = Graphlib.Wgraph.csr g in
   let arc_count = csr.Graphlib.Wgraph.row_start.(n) in
@@ -444,38 +454,27 @@ let run ?(bandwidth = 1) ?(max_rounds = 1_000_000) ?deadline ?(clock = Telemetry
       calendar_round ()
     | top -> top
   in
-  (* Cooperative wall-clock supervision: resolved once at run start
-     from the explicit [?deadline] (relative to [?clock]) or, failing
-     that, the ambient {!with_deadline} budget. [None] — the default —
-     adds nothing to the round loop, so unsupervised runs keep the
-     bit-identical historical behaviour. *)
+  (* Cooperative supervision by the ambient {!with_deadline} scope,
+     resolved once at run start. [None] — the default — adds nothing
+     to the round loop, so unsupervised runs keep the bit-identical
+     historical behaviour. *)
   let deadline_guard =
-    let make ~clk ~start ~limit ~budget =
+    match scope.deadline with
+    | None -> None
+    | Some { opened; seconds; clock } ->
       Some
         (fun r ->
-          let now = Telemetry.Clock.now clk in
-          if now > limit then
+          let elapsed = Telemetry.Clock.now clock -. opened in
+          if elapsed > seconds then
             raise
               (Deadline_exceeded
                  {
                    deadline_protocol = proto.name;
                    round_at_deadline = r;
-                   elapsed_s = now -. start;
-                   budget_s = budget;
+                   elapsed_s = elapsed;
+                   budget_s = seconds;
                    partial_trace = current_trace ();
                  }))
-    in
-    match deadline with
-    | Some budget ->
-      check_budget budget;
-      let start = Telemetry.Clock.now clock in
-      make ~clk:clock ~start ~limit:(start +. budget) ~budget
-    | None -> (
-      match Domain.DLS.get ambient_deadline with
-      | Some (at, clk) ->
-        let start = Telemetry.Clock.now clk in
-        make ~clk ~start ~limit:at ~budget:(at -. start)
-      | None -> None)
   in
   let continue = ref true in
   while !continue do

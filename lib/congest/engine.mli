@@ -16,8 +16,8 @@
     an adversarial one: messages may be dropped, delayed or
     duplicated, nodes may fail-stop, and bandwidth may be enforced
     (excess words dropped at message granularity). The adversary is
-    seeded, so faulty runs are exactly reproducible; with [?faults]
-    unset the execution is bit-for-bit the historical fault-free
+    seeded, so faulty runs are exactly reproducible; with no faults
+    configured the execution is bit-for-bit the historical fault-free
     semantics. *)
 
 type 'm envelope = { src : int; msg : 'm }
@@ -99,69 +99,73 @@ exception Round_limit_exceeded of limit_info
 type deadline_info = {
   deadline_protocol : string;  (** [protocol.name] of the over-budget run. *)
   round_at_deadline : int;  (** Next scheduled round when the budget ran out. *)
-  elapsed_s : float;  (** Wall seconds consumed since this [run] started. *)
-  budget_s : float;  (** The budget this run was given (for an ambient
-                         {!with_deadline} budget: what remained of it
-                         when this run started). *)
+  elapsed_s : float;
+      (** Seconds since the enforcing {!with_deadline} scope opened;
+          always [> budget_s]. *)
+  budget_s : float;  (** The enforcing scope's [seconds]. *)
   partial_trace : trace;  (** Accounting up to the moment of the abort. *)
 }
 
 exception Deadline_exceeded of deadline_info
 
+type config = {
+  bandwidth : int;
+      (** Words per directed edge per round; overloads are recorded
+          (or, with [Fault.strict_bandwidth], dropped). *)
+  max_rounds : int;
+      (** Guard against non-terminating protocols: a run scheduling a
+          round beyond it raises {!Round_limit_exceeded}. *)
+  faults : Fault.t option;  (** The adversary, if any (see {!Fault}). *)
+  sink : Telemetry.Events.sink option;  (** Receiver of the event stream. *)
+}
+(** The network settings of one run. Every layer above the engine
+    ([Reliable.run], the [Tree] primitives) forwards one [config]
+    unchanged, so a multi-phase algorithm states its settings once. *)
+
+val default_config : config
+(** [{ bandwidth = 1; max_rounds = 1_000_000; faults = None; sink = None }]. *)
+
 val with_deadline : ?clock:Telemetry.Clock.t -> seconds:float -> (unit -> 'a) -> 'a
-(** [with_deadline ~seconds f] runs [f] with an ambient wall-clock
-    budget: every {!run} started by [f] on this domain (without its own
-    explicit [?deadline]) cooperatively checks the shared absolute
-    deadline and raises {!Deadline_exceeded} once it passes. The budget
-    is domain-local, so [Util.Domain_pool] workers supervise their jobs
-    independently; nested scopes only ever shrink the budget (nesting
-    assumes both scopes use the same clock). The previous ambient state
-    is restored when [f] returns or raises. Raises [Invalid_argument]
-    (the same message as {!run}'s [?deadline]) unless [seconds] is
-    finite and non-negative. *)
+(** [with_deadline ~seconds f] runs [f] with a budget of [seconds]
+    measured on [?clock] (default {!Telemetry.Clock.wall}; pass a
+    manual clock for deterministic tests) from the moment the scope
+    opens. Every {!run} started by [f] on this domain checks it
+    cooperatively once per scheduled round — a run never observes the
+    deadline mid-round: either the round runs to completion or
+    {!Deadline_exceeded} is raised before it starts, reporting this
+    scope's [seconds] as [budget_s]. This is the only way to supervise
+    a run. The scope is domain-local, so [Util.Domain_pool] workers
+    supervise their jobs independently; nested scopes only ever shrink
+    the budget (the scope ending first enforces; nesting assumes both
+    use the same clock). It sets only the deadline, restoring the
+    previous one when [f] returns or raises. Raises [Invalid_argument]
+    unless [seconds] is finite and non-negative. *)
 
 val with_phase_spans : (unit -> 'a) -> 'a
-(** [with_phase_spans f] runs [f] with ambient phase-span emission
-    enabled: every observed {!run} started by [f] on this domain
-    brackets each scheduled
-    round into [engine.heap] / [engine.delivery] / [engine.compute]
-    {!Telemetry.Events.Span_begin}/[Span_end] pairs on its sink. Like
-    {!with_deadline} the switch is domain-local, so [Util.Domain_pool]
-    workers profile independently; the previous state is restored when
-    [f] returns or raises. Runs without a sink are unaffected. *)
+(** [with_phase_spans f] runs [f] with phase-span emission enabled:
+    every observed {!run} started by [f] on this domain brackets each
+    scheduled round into [engine.heap] / [engine.delivery] /
+    [engine.compute] {!Telemetry.Events.Span_begin}/[Span_end] pairs
+    on its sink, stamped with the wall clock. It shares the
+    domain-local scope of {!with_deadline} but sets only the span
+    switch, restoring the previous value when [f] returns or raises.
+    Runs without a sink are unaffected. *)
 
-val run :
-  ?bandwidth:int ->
-  ?max_rounds:int ->
-  ?deadline:float ->
-  ?clock:Telemetry.Clock.t ->
-  ?faults:Fault.t ->
-  ?sink:Telemetry.Events.sink ->
-  Graphlib.Wgraph.t ->
-  ('s, 'm) protocol ->
-  's array * trace
+val run : ?config:config -> Graphlib.Wgraph.t -> ('s, 'm) protocol -> 's array * trace
 (** Execute until quiescence (no pending messages, deliveries or
-    wake-ups). [bandwidth] defaults to 1 word/edge/round; [max_rounds]
-    (default [1_000_000]) guards against non-terminating protocols by
-    raising {!Round_limit_exceeded} with a structured payload.
-    Nodes are processed in increasing id order within a round. An
-    illegal action — a send to a non-neighbor, a message of size
-    [< 1] word, or a wake not strictly in the future — raises
-    [Invalid_argument] with the same message as [Engine_reference],
-    with or without [?faults].
+    wake-ups) under [config] (default {!default_config}). Nodes are
+    processed in increasing id order within a round. An illegal action
+    — a send to a non-neighbor, a message of size [< 1] word, or a
+    wake not strictly in the future — raises [Invalid_argument] with
+    the same message as [Engine_reference], with or without faults.
 
-    [?deadline] is a wall-clock budget in seconds, read from [?clock]
-    (default {!Telemetry.Clock.wall}; pass a manual clock for
-    deterministic tests). It is checked cooperatively once per
-    scheduled round, so a run never observes the deadline mid-round:
-    either the round runs to completion or {!Deadline_exceeded} is
-    raised before it starts. With [?deadline] unset the run inherits
-    any ambient {!with_deadline} budget; with neither, no clock is
-    ever read and execution — states, trace, and event stream — is
-    bit-for-bit the unsupervised behaviour (pinned against
-    [Engine_reference] by the golden-equivalence suite).
+    Outside a {!with_deadline} scope no clock is ever read and
+    execution — states, trace, and event stream — is bit-for-bit the
+    unsupervised behaviour (pinned against [Engine_reference] by the
+    golden-equivalence suite); a deadline that never fires leaves them
+    unchanged too.
 
-    [?faults] injects the configured adversary (see {!Fault}): the
+    [faults] injects the configured adversary (see {!Fault}): the
     drop/duplicate/delay decisions are drawn per message from the
     adversary's private seeded RNG stream, in send order, so runs are
     reproducible. A [Message] event marks every message accepted onto
@@ -169,15 +173,14 @@ val run :
     drop); network-injected duplicate copies emit no second [Message]
     and do not add to edge load.
 
-    Inside a {!with_phase_spans} scope (off by default) an observed
-    run brackets each scheduled round's heap query, delivery work and
-    handler execution into [engine.heap]/[engine.delivery]/
-    [engine.compute] span events on the sink — the substrate
-    [Profile.Span.of_events] attributes wall time with. Spans are pure
-    observation: they require a sink, and with them off no clock is
-    read and the run is bit-for-bit the historical behaviour.
+    Inside a {!with_phase_spans} scope an observed run brackets each
+    scheduled round's heap query, delivery work and handler execution
+    into [engine.heap]/[engine.delivery]/[engine.compute] span events
+    on the sink — the substrate [Profile.Span.of_events] attributes
+    wall time with. Spans are pure observation: they require a sink,
+    and with them off no clock is read.
 
-    [?sink] receives the full structured event stream (see
+    [sink] receives the full structured event stream (see
     {!Telemetry.Events}): [Run_start], per-round [Round_start],
     [Message] on every wire acceptance (duplicate copies emit a
     [Fault Duplicate] once, never a second [Message]; for a
@@ -186,6 +189,4 @@ val run :
     deliveries, [Fault] for every adversary action, and [Run_end].
     The stream is complete: [Replay.trace_of_events] reconstructs this
     run's trace counters from it exactly. Event emission is pure
-    observation — with [?sink] unset the execution, states and trace
-    are bit-for-bit the historical behaviour, and attaching a sink
-    never changes them. *)
+    observation — attaching a sink never changes states or trace. *)

@@ -1,8 +1,10 @@
 (** The seed engine round loop, kept as an executable specification.
 
-    Same signature and — by the golden-equivalence property in the
-    test suite — bit-identical observable behavior (final states,
-    trace, and full event stream) to {!Engine.run}, but built on the
+    The seed's signature (the {!Engine.config} fields as separate
+    optional arguments, no deadline supervision) and — by the
+    golden-equivalence property in the test suite — bit-identical
+    observable behavior (final states, trace, and full event stream)
+    to {!Engine.run}, but built on the
     original Hashtbl/cons-list data structures. {!Engine.run} is the
     optimized production loop; this module exists so the optimization
     stays checkable (QCheck compares the two on every scenario class)

@@ -76,14 +76,14 @@ val wrap : ?config:config -> ('s, 'm) Engine.protocol -> (('s, 'm) state, 'm msg
 (** The wrapped protocol, named ["reliable:<name>"]. *)
 
 val run :
-  ?bandwidth:int ->
-  ?max_rounds:int ->
-  ?faults:Fault.t ->
-  ?sink:Telemetry.Events.sink ->
-  ?config:config ->
+  ?config:Engine.config ->
+  ?reliable:config ->
   Graphlib.Wgraph.t ->
   ('s, 'm) Engine.protocol ->
   's array * Engine.trace
-(** [Engine.run] of the wrapped protocol, with the inner states
-    projected out. [?sink] observes the {e wire} protocol: data and
-    ack messages, retransmissions included. *)
+(** [Engine.run ?config] of the protocol wrapped with the [?reliable]
+    retransmission settings (default {!default_config}), with the inner
+    states projected out. Same conventions as the [Tree] primitives:
+    the engine [config] (default [Engine.default_config]) is forwarded
+    unchanged, and its [sink] observes the {e wire} protocol — data
+    and ack messages, retransmissions included. *)

@@ -10,12 +10,10 @@ type t = {
    or wrapped in the reliable-delivery combinator — mandatory as soon
    as faults are injected, optional otherwise (to measure the ack /
    retransmission overhead on a clean network). *)
-let run_protocol ?bandwidth ?faults ?reliable ?sink g proto =
-  match (faults, reliable) with
-  | None, None -> Engine.run ?bandwidth ?sink g proto
-  | _ ->
-    let config = Option.value reliable ~default:Reliable.default_config in
-    Reliable.run ?bandwidth ?faults ?sink ~config g proto
+let run_protocol ?(config = Engine.default_config) ?reliable g proto =
+  match (config.Engine.faults, reliable) with
+  | None, None -> Engine.run ~config g proto
+  | _ -> Reliable.run ~config ?reliable g proto
 
 (* ------------------------------------------------------------------ *)
 (* BFS tree construction by flooding.                                  *)
@@ -147,9 +145,9 @@ let convergecast_protocol tree ~values ~combine ~size_words : ('a cc_state, 'a) 
         else (s, Engine.no_action));
   }
 
-let convergecast ?bandwidth ?faults ?reliable ?sink g tree ~values ~combine ~size_words =
+let convergecast ?config ?reliable g tree ~values ~combine ~size_words =
   let states, trace =
-    run_protocol ?bandwidth ?faults ?reliable ?sink g (convergecast_protocol tree ~values ~combine ~size_words)
+    run_protocol ?config ?reliable g (convergecast_protocol tree ~values ~combine ~size_words)
   in
   (states.(tree.root).cc_acc, trace)
 
@@ -194,8 +192,10 @@ let broadcast_protocol tree ~tokens ~size_words : ('tok bc_state, 'tok) Engine.p
         forward view s ~round);
   }
 
-let broadcast_tokens ?bandwidth ?faults ?reliable ?sink g tree ~tokens ~size_words =
-  let states, trace = run_protocol ?bandwidth ?faults ?reliable ?sink g (broadcast_protocol tree ~tokens ~size_words) in
+let broadcast_tokens ?config ?reliable g tree ~tokens ~size_words =
+  let states, trace =
+    run_protocol ?config ?reliable g (broadcast_protocol tree ~tokens ~size_words)
+  in
   (Array.map (fun s -> List.rev s.bc_received) states, trace)
 
 (* ------------------------------------------------------------------ *)
@@ -256,17 +256,19 @@ let upcast_protocol tree ~items ~compare ~size_words :
         push view s ~round);
   }
 
-let upcast ?bandwidth ?faults ?reliable ?sink g tree ~items ~compare ~size_words =
-  let states, trace = run_protocol ?bandwidth ?faults ?reliable ?sink g (upcast_protocol tree ~items ~compare ~size_words) in
+let upcast ?config ?reliable g tree ~items ~compare ~size_words =
+  let states, trace =
+    run_protocol ?config ?reliable g (upcast_protocol tree ~items ~compare ~size_words)
+  in
   (states.(tree.root).Upcast.seen, trace)
 
 (* ------------------------------------------------------------------ *)
 (* Tree construction driver.                                           *)
 (* ------------------------------------------------------------------ *)
 
-let build ?bandwidth ?faults ?reliable ?sink g ~root =
+let build ?config ?reliable g ~root =
   if not (Graphlib.Wgraph.is_connected g) then invalid_arg "Tree.build: disconnected graph";
-  let states, trace1 = run_protocol ?bandwidth ?faults ?reliable ?sink g (build_protocol ~root) in
+  let states, trace1 = run_protocol ?config ?reliable g (build_protocol ~root) in
   let n = Graphlib.Wgraph.n g in
   let parent = Array.make n (-1) in
   let level = Array.make n 0 in
@@ -281,16 +283,16 @@ let build ?bandwidth ?faults ?reliable ?sink g ~root =
   (* Nodes learn the depth: convergecast of max level, then broadcast.
      Both are honest protocols whose rounds we add to the trace. *)
   let depth, trace2 =
-    convergecast ?bandwidth ?faults ?reliable ?sink g provisional ~values:(Array.copy level) ~combine:max
+    convergecast ?config ?reliable g provisional ~values:(Array.copy level) ~combine:max
       ~size_words:(fun _ -> 1)
   in
   let _, trace3 =
-    broadcast_tokens ?bandwidth ?faults ?reliable ?sink g provisional ~tokens:[ depth ] ~size_words:(fun _ -> 1)
+    broadcast_tokens ?config ?reliable g provisional ~tokens:[ depth ] ~size_words:(fun _ -> 1)
   in
   let trace = Engine.add_traces trace1 (Engine.add_traces trace2 trace3) in
   ({ root; parent; children; level; depth }, trace)
 
-let gather_broadcast ?bandwidth ?faults ?reliable ?sink g tree ~items ~compare ~size_words =
-  let collected, t1 = upcast ?bandwidth ?faults ?reliable ?sink g tree ~items ~compare ~size_words in
-  let _, t2 = broadcast_tokens ?bandwidth ?faults ?reliable ?sink g tree ~tokens:collected ~size_words in
+let gather_broadcast ?config ?reliable g tree ~items ~compare ~size_words =
+  let collected, t1 = upcast ?config ?reliable g tree ~items ~compare ~size_words in
+  let _, t2 = broadcast_tokens ?config ?reliable g tree ~tokens:collected ~size_words in
   (collected, Engine.add_traces t1 t2)

@@ -21,10 +21,8 @@ type t = {
 }
 
 val build :
-  ?bandwidth:int ->
-  ?faults:Fault.t ->
+  ?config:Engine.config ->
   ?reliable:Reliable.config ->
-  ?sink:Telemetry.Events.sink ->
   Graphlib.Wgraph.t ->
   root:int ->
   t * Engine.trace
@@ -32,25 +30,24 @@ val build :
     convergecast/broadcast so that every node learns [depth]
     ([O(depth)] rounds total). Requires a connected graph.
 
-    With [?faults] and/or [?reliable] set, every phase runs wrapped in
-    the {!Reliable} ack/retransmission combinator (default config when
-    only [?faults] is given), so the tree built under a seeded lossy
-    network matches the fault-free one — at a measured round/message
-    overhead recorded in the returned trace. [?bandwidth] is passed
-    straight to {!Engine.run} (note the wrapper's 1-word header: with
-    [Fault.strict_bandwidth] set, the bandwidth must exceed the
-    largest payload for data to flow at all). [?sink] is attached to
-    every underlying {!Engine.run} — multi-phase operations emit one
-    event-stream segment per phase ([Run_start] … [Run_end]), which
-    [Replay.trace_of_events] folds back into the summed trace these
-    functions return. The same conventions apply to every function
-    below. *)
+    [config] (default {!Engine.default_config}) is forwarded
+    unchanged to every underlying {!Engine.run}. When it carries
+    faults, or [?reliable] is given, every phase runs wrapped in the
+    {!Reliable} ack/retransmission combinator with the [?reliable]
+    settings (default {!Reliable.default_config}), so the tree built
+    under a seeded lossy network matches the fault-free one — at a
+    measured round/message overhead recorded in the returned trace.
+    Mind the wrapper's 1-word header: with [Fault.strict_bandwidth]
+    set, the bandwidth must exceed the largest payload for data to
+    flow at all. A [sink] sees every phase — multi-phase operations
+    emit one event-stream segment per phase ([Run_start] …
+    [Run_end]), which [Replay.trace_of_events] folds back into the
+    summed trace these functions return. The same conventions apply
+    to every function below, and to {!Reliable.run}. *)
 
 val convergecast :
-  ?bandwidth:int ->
-  ?faults:Fault.t ->
+  ?config:Engine.config ->
   ?reliable:Reliable.config ->
-  ?sink:Telemetry.Events.sink ->
   Graphlib.Wgraph.t ->
   t ->
   values:'a array ->
@@ -62,10 +59,8 @@ val convergecast :
     when aggregates fit in one message. *)
 
 val broadcast_tokens :
-  ?bandwidth:int ->
-  ?faults:Fault.t ->
+  ?config:Engine.config ->
   ?reliable:Reliable.config ->
-  ?sink:Telemetry.Events.sink ->
   Graphlib.Wgraph.t ->
   t ->
   tokens:'tok list ->
@@ -75,10 +70,8 @@ val broadcast_tokens :
     [O(depth + k)] rounds. Result preserves the root's token order. *)
 
 val upcast :
-  ?bandwidth:int ->
-  ?faults:Fault.t ->
+  ?config:Engine.config ->
   ?reliable:Reliable.config ->
-  ?sink:Telemetry.Events.sink ->
   Graphlib.Wgraph.t ->
   t ->
   items:'tok list array ->
@@ -90,10 +83,8 @@ val upcast :
     deduplicated list. [O(depth + k)] rounds for [k] distinct items. *)
 
 val gather_broadcast :
-  ?bandwidth:int ->
-  ?faults:Fault.t ->
+  ?config:Engine.config ->
   ?reliable:Reliable.config ->
-  ?sink:Telemetry.Events.sink ->
   Graphlib.Wgraph.t ->
   t ->
   items:'tok list array ->

@@ -247,7 +247,8 @@ let run_job ?(attempt = 1) ?deadline_s (spec : Spec.t) (j : Spec.job) =
               ~duplicate:f.Spec.duplicate ()
           in
           let base_tree, base = Congest.Tree.build g ~root:0 in
-          let ftree, tr = Congest.Tree.build ~faults ~reliable:Congest.Reliable.default_config g ~root:0 in
+          let config = { Congest.Engine.default_config with faults = Some faults } in
+          let ftree, tr = Congest.Tree.build ~config g ~root:0 in
           let levels_match = ftree.Congest.Tree.level = base_tree.Congest.Tree.level in
           {
             rounds = tr.Congest.Engine.rounds;

@@ -89,7 +89,7 @@ let run ?delays_override g ~tree ~sources ~params ~rng =
       ~size_words:(fun _ -> 1)
   in
   let states, concurrent_trace =
-    Congest.Engine.run ~bandwidth:lambda g (concurrent_protocol ~sources ~delays ~params)
+    Congest.Engine.run ~config:{ Congest.Engine.default_config with bandwidth = lambda } g (concurrent_protocol ~sources ~delays ~params)
   in
   let max_w = Graphlib.Wgraph.max_weight g in
   let dtilde =

@@ -106,22 +106,13 @@ let span r name f =
 
 let event_sink r : Telemetry.Events.sink = function
   | Telemetry.Events.Span_begin { name; wall_s; _ } -> enter_at r name ~wall_s
-  | Telemetry.Events.Span_end { name; wall_s; _ } ->
-    (* Tolerate unbalanced streams the same way Export.chrome_trace
-       does: unwind to the matching open span (closing intervening
-       frames at this instant); a close with no matching open is
-       dropped. *)
-    if List.exists (fun f -> f.fr_acc.a_name = name) r.stack then begin
-      let rec unwind () =
-        match r.stack with
-        | [] -> ()
-        | f :: _ ->
-          let matched = f.fr_acc.a_name = name in
-          close_top r ~wall_s;
-          if not matched then unwind ()
-      in
-      unwind ()
-    end
+  | Telemetry.Events.Span_end { name; wall_s; _ } -> (
+    (* Unbalanced streams unwind by the rule Export.chrome_trace uses:
+       intervening frames close at this instant; a close with no
+       matching open is dropped. *)
+    match Telemetry.Events.close_span ~name:(fun f -> f.fr_acc.a_name) r.stack name with
+    | Some (closed, _) -> List.iter (fun _ -> close_top r ~wall_s) closed
+    | None -> ())
   | _ -> ()
 
 (* ---------------------------- snapshots ---------------------------- *)

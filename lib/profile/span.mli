@@ -63,9 +63,9 @@ val exit_all : recorder -> unit
 
 val event_sink : recorder -> Telemetry.Events.sink
 (** Feed the recorder from a span event stream: [Span_begin] opens,
-    [Span_end] closes (unwinding to the matching open span, exactly
-    like [Telemetry.Export.chrome_trace]'s repair; a close with no
-    matching open is dropped), all other events are ignored. Durations
+    [Span_end] closes (unwinding by [Telemetry.Events.close_span], the
+    rule [Telemetry.Export.chrome_trace]'s repair applies too; a close
+    with no matching open is dropped), all other events are ignored. Durations
     come from the events' [wall_s] stamps. The sink runs on the
     emitting domain — attach one recorder per domain. *)
 

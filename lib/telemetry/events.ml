@@ -34,6 +34,14 @@ let of_on_message f : sink = function
   | Message { round; src; dst; words } -> f ~round ~src ~dst ~words
   | _ -> ()
 
+let close_span ~name stack target =
+  let rec go closed = function
+    | [] -> None
+    | x :: rest ->
+      if name x = target then Some (List.rev (x :: closed), rest) else go (x :: closed) rest
+  in
+  go [] stack
+
 let fault_kind_name = function
   | Drop_random -> "drop_random"
   | Drop_bandwidth _ -> "drop_bandwidth"

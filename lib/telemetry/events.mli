@@ -62,6 +62,15 @@ val of_on_message : (round:int -> src:int -> dst:int -> words:int -> unit) -> si
     [Engine_reference.run]): forwards [Message] events, ignores
     everything else. *)
 
+val close_span : name:('a -> string) -> 'a list -> string -> ('a list * 'a list) option
+(** The one span-unwinding rule every span consumer applies to a
+    [Span_end] of [target], given its stack of open spans (innermost
+    first; [name] reads a span's name). [Some (closed, rest)]: close
+    [closed] in order — the still-open inner spans the end skips over
+    (an inner phase aborted without unwinding), then the innermost
+    span named [target] — leaving [rest] open. [None]: a stray end
+    with no matching open span, to be dropped. *)
+
 val fault_kind_name : fault_kind -> string
 
 val to_json : t -> string

@@ -85,11 +85,11 @@ let chrome_trace ?(process_name = "qcongest") events =
      Deadline_exceeded mid-phase) leaves Span_begin events with no
      matching Span_end, and a raw "B" without its "E" renders as a
      span of infinite duration (or is rejected outright) in the
-     trace viewers. Track the open-span stack; close every dangling
-     span synthetically at the last event's position and surface each
-     repair as a structured "trace_warning" instant. A stray Span_end
-     is dropped (never emitted as an unmatched "E") with the same
-     warning treatment. *)
+     trace viewers. Track the open-span stack, unwinding it by
+     [Events.close_span]; close every dangling span synthetically at
+     the last event's position and surface each repair as a structured
+     "trace_warning" instant. A stray Span_end is dropped (never
+     emitted as an unmatched "E") with the same warning treatment. *)
   let open_spans = ref [] in
   let last_round = ref 0 and last_wall = ref 0.0 in
   let trace_events =
@@ -135,29 +135,19 @@ let chrome_trace ?(process_name = "qcongest") events =
           open_spans := name :: !open_spans;
           [ span_event "B" ~name ~round ~wall_s ]
         | Events.Span_end { name; round; wall_s } -> (
-          match !open_spans with
-          | top :: rest when top = name ->
+          match Events.close_span ~name:Fun.id !open_spans name with
+          | Some (closed, rest) ->
             open_spans := rest;
-            [ span_event "E" ~name ~round ~wall_s ]
-          | stack when List.mem name stack ->
-            (* The end skips over still-open inner spans (an inner
-               phase aborted without unwinding its span): close the
-               intervening spans synthetically so nesting stays
-               well-formed, then close the matching one. *)
-            let rec unwind acc = function
-              | top :: rest when top <> name ->
-                unwind
-                  (span_event "E" ~name:top ~round ~wall_s
-                   :: warning ~round "unbalanced_span_closed" [ ("span", Tjson.str top) ]
-                   :: acc)
-                  rest
-              | _ :: rest ->
-                open_spans := rest;
-                List.rev (span_event "E" ~name ~round ~wall_s :: acc)
-              | [] -> List.rev acc
-            in
-            unwind [] stack
-          | _ ->
+            (* Spans the end skips over are closed synthetically so
+               nesting stays well-formed, each with a warning. *)
+            List.concat_map
+              (fun top ->
+                if top = name then [ span_event "E" ~name ~round ~wall_s ]
+                else
+                  [ warning ~round "unbalanced_span_closed" [ ("span", Tjson.str top) ];
+                    span_event "E" ~name:top ~round ~wall_s ])
+              closed
+          | None ->
             (* A stray end with no matching begin: emitting the "E"
                would unbalance the trace, so drop it and record why. *)
             [ warning ~round "span_end_without_begin" [ ("span", Tjson.str name) ] ])

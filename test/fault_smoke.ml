@@ -31,7 +31,8 @@ let () =
       List.iter
         (fun drop ->
           let faults = Congest.Fault.make ~seed:42 ~drop ~delay:1 () in
-          let tree, tr = Congest.Tree.build ~faults g ~root:0 in
+          let config = { Congest.Engine.default_config with faults = Some faults } in
+          let tree, tr = Congest.Tree.build ~config g ~root:0 in
           let ok = tree.Congest.Tree.level = base.Congest.Tree.level in
           Printf.printf "%-12s drop=%.2f rounds=%-5d messages=%-5d dropped=%-4d levels %s\n"
             name drop tr.Congest.Engine.rounds tr.Congest.Engine.messages

@@ -41,13 +41,14 @@ let scenario ~tag ~faults =
   in
   let sink, drain = E.collector () in
   let runner = Congest.Runner.create ~sink () in
+  let config = { Congest.Engine.default_config with faults; sink = Some sink } in
   let tree =
     Congest.Runner.time_phase runner "bfs-tree" (fun () ->
-        Congest.Tree.build ?faults ~sink g ~root:0)
+        Congest.Tree.build ~config g ~root:0)
   in
   let _ =
     Congest.Runner.time_phase runner "degree-convergecast" (fun () ->
-        Congest.Tree.convergecast ?faults ~sink g tree
+        Congest.Tree.convergecast ~config g tree
           ~values:(Array.init 20 (Graphlib.Wgraph.degree g))
           ~combine:( + ) ~size_words:(fun _ -> 1))
   in

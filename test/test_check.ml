@@ -79,7 +79,8 @@ let test_report_json () =
 
 let collect_tree g =
   let sink, drain = Telemetry.Events.collector () in
-  let _tree, trace = Congest.Tree.build g ~root:0 ~sink in
+  let config = { Congest.Engine.default_config with sink = Some sink } in
+  let _tree, trace = Congest.Tree.build ~config g ~root:0 in
   (trace, drain ())
 
 let test_congest_clean () =

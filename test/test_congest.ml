@@ -22,6 +22,9 @@ let random_graph seed =
 
 (* ------------------------------ Engine ---------------------------- *)
 
+(* The engine settings of a run under [faults], everything else default. *)
+let faulty faults = { Engine.default_config with faults = Some faults }
+
 (* A relay protocol: node 0 sends a counter that each node increments
    and forwards along the path; exercises delivery timing. *)
 type relay = { got : int option }
@@ -110,7 +113,7 @@ let test_engine_bandwidth_violation () =
   let _, trace = Engine.run g proto in
   check "violations" 1 trace.Engine.congestion_violations;
   check "max load" 2 trace.Engine.max_edge_load;
-  let _, trace2 = Engine.run ~bandwidth:2 g proto in
+  let _, trace2 = Engine.run ~config:{ Engine.default_config with bandwidth = 2 } g proto in
   check "ok at bandwidth 2" 0 trace2.Engine.congestion_violations
 
 let test_engine_round_limit () =
@@ -133,7 +136,7 @@ let test_engine_round_limit () =
     }
   in
   (* The structured payload makes watchdog failures diagnosable. *)
-  (match Engine.run ~max_rounds:50 g proto with
+  (match Engine.run ~config:{ Engine.default_config with max_rounds = 50 } g proto with
   | _ -> Alcotest.fail "limit not enforced"
   | exception Engine.Round_limit_exceeded info ->
     Alcotest.(check string) "protocol name" "pingpong" info.Engine.protocol;
@@ -176,7 +179,9 @@ let test_engine_on_message_hook () =
   let g = unit_path 4 in
   let seen = ref [] in
   let hook ~round ~src ~dst ~words = seen := (round, src, dst, words) :: !seen in
-  let _, _ = Engine.run ~sink:(Telemetry.Events.of_on_message hook) g relay_protocol in
+  let _, _ = Engine.run
+      ~config:{ Engine.default_config with sink = Some (Telemetry.Events.of_on_message hook) }
+      g relay_protocol in
   (* Relay sends 0->1 at round 0, 1->2 at round 1, 2->3 at round 2. *)
   checkb "hook saw every message" true
     (List.rev !seen = [ (0, 0, 1, 1); (1, 1, 2, 1); (2, 2, 3, 1) ])
@@ -279,7 +284,7 @@ let test_faults_none_is_identity () =
   (* The benign adversary produces the exact fault-free trace/states. *)
   let g = unit_path 9 in
   let s0, t0 = Engine.run g relay_protocol in
-  let s1, t1 = Engine.run ~faults:Fault.none g relay_protocol in
+  let s1, t1 = Engine.run ~config:(faulty Fault.none) g relay_protocol in
   checkb "states equal" true (s0 = s1);
   checkb "traces equal" true (t0 = t1);
   check "no drops" 0 t1.Engine.dropped
@@ -312,7 +317,7 @@ let test_pinned_fault_free_traces () =
 let test_fault_drop_all () =
   let g = unit_path 6 in
   let faults = Fault.make ~seed:1 ~drop:1.0 () in
-  let states, trace = Engine.run ~faults g relay_protocol in
+  let states, trace = Engine.run ~config:(faulty faults) g relay_protocol in
   (* Node 0's single message is lost; nothing propagates. *)
   check "one message attempted" 1 trace.Engine.messages;
   check "one message dropped" 1 trace.Engine.dropped;
@@ -322,7 +327,7 @@ let test_fault_drop_all () =
 let test_fault_delay () =
   let g = unit_path 6 in
   let faults = Fault.make ~seed:3 ~delay:4 () in
-  let states, trace = Engine.run ~faults g relay_protocol in
+  let states, trace = Engine.run ~config:(faulty faults) g relay_protocol in
   let _, base = Engine.run g relay_protocol in
   (* Delays never lose or corrupt messages: the relay still completes. *)
   Alcotest.(check (option int)) "relay completes" (Some 5) states.(5).got;
@@ -333,7 +338,7 @@ let test_fault_delay () =
 let test_fault_duplicate () =
   let g = unit_path 6 in
   let faults = Fault.make ~seed:5 ~duplicate:1.0 () in
-  let states, trace = Engine.run ~faults g relay_protocol in
+  let states, trace = Engine.run ~config:(faulty faults) g relay_protocol in
   (* The relay reacts to the first copy only; results are unchanged. *)
   Alcotest.(check (option int)) "relay completes" (Some 5) states.(5).got;
   check "every message duplicated" trace.Engine.messages trace.Engine.duplicated;
@@ -349,8 +354,10 @@ let test_duplicates_do_not_refire_observers () =
   let sink, drain = Telemetry.Events.collector () in
   let _, trace =
     let hook ~round:_ ~src:_ ~dst:_ ~words:_ = incr hook_calls in
-    Engine.run ~faults
-      ~sink:(Telemetry.Events.tee (Telemetry.Events.of_on_message hook) sink)
+    Engine.run
+      ~config:
+        { (faulty faults) with
+          sink = Some (Telemetry.Events.tee (Telemetry.Events.of_on_message hook) sink) }
       g relay_protocol
   in
   check "5 protocol sends" 5 trace.Engine.messages;
@@ -372,7 +379,7 @@ let test_duplicates_do_not_refire_observers () =
 let test_fault_crash () =
   let g = unit_path 6 in
   let faults = Fault.make ~seed:1 ~crashes:[ (3, 2) ] () in
-  let states, trace = Engine.run ~faults g relay_protocol in
+  let states, trace = Engine.run ~config:(faulty faults) g relay_protocol in
   (* Node 3 fail-stops at round 2: the message sent to it in round 2
      (arriving at round 3) is lost and the wave dies. *)
   Alcotest.(check (option int)) "node 2 reached" (Some 2) states.(2).got;
@@ -386,24 +393,27 @@ let test_fault_strict_bandwidth () =
   let faults = Fault.make ~strict_bandwidth:true () in
   (* Two unit messages on one edge at bandwidth 1: the second is
      dropped at the sender's NIC instead of overloading the edge. *)
-  let states, trace = Engine.run ~faults g (burst_protocol [ (1, 1); (1, 1) ]) in
+  let states, trace = Engine.run ~config:(faulty faults) g (burst_protocol [ (1, 1); (1, 1) ]) in
   ignore states;
   check "violation recorded once" 1 trace.Engine.congestion_violations;
   check "excess dropped" 1 trace.Engine.dropped;
   check "load capped at bandwidth" 1 trace.Engine.max_edge_load;
   (* At bandwidth 2 both fit: nothing dropped. *)
-  let _, t2 = Engine.run ~bandwidth:2 ~faults g (burst_protocol [ (1, 1); (1, 1) ]) in
+  let _, t2 =
+    Engine.run ~config:{ (faulty faults) with bandwidth = 2 } g (burst_protocol [ (1, 1); (1, 1) ])
+  in
   check "fits at bandwidth 2" 0 t2.Engine.dropped
 
 let test_fault_deterministic () =
   let g = random_graph 11 in
   let faults = Fault.make ~seed:9 ~drop:0.2 ~delay:3 ~duplicate:0.1 () in
-  let run () = Tree.build ~faults g ~root:0 in
+  let run () = Tree.build ~config:(faulty faults) g ~root:0 in
   let s1, t1 = run () and s2, t2 = run () in
   checkb "same seed, same trace" true (t1 = t2);
   checkb "same seed, same states" true (s1 = s2);
   let s3, t3 =
-    Tree.build ~faults:(Fault.make ~seed:10 ~drop:0.2 ~delay:3 ~duplicate:0.1 ()) g ~root:0
+    Tree.build ~config:(faulty (Fault.make ~seed:10 ~drop:0.2 ~delay:3 ~duplicate:0.1 ())) g
+      ~root:0
   in
   ignore s3;
   checkb "different seed, different schedule" true (t3 <> t1)
@@ -433,7 +443,7 @@ let test_reliable_identity_on_perfect_network () =
 let reliable_bfs_family name g =
   let base, base_trace = Tree.build g ~root:0 in
   let faults = Fault.make ~seed:42 ~drop:0.1 () in
-  let t, tr = Tree.build ~faults g ~root:0 in
+  let t, tr = Tree.build ~config:(faulty faults) g ~root:0 in
   Alcotest.(check bool) (name ^ ": levels match fault-free") true
     (t.Tree.level = base.Tree.level);
   Alcotest.(check bool) (name ^ ": depth matches") true (t.Tree.depth = base.Tree.depth);
@@ -441,7 +451,7 @@ let reliable_bfs_family name g =
   checkb (name ^ ": overhead measured") true
     (tr.Engine.messages > base_trace.Engine.messages);
   (* Determinism for a fixed adversary seed. *)
-  let t2, tr2 = Tree.build ~faults g ~root:0 in
+  let t2, tr2 = Tree.build ~config:(faulty faults) g ~root:0 in
   Alcotest.(check bool) (name ^ ": deterministic") true (t2 = t && tr2 = tr)
 
 let test_reliable_bfs_under_drop () =
@@ -466,7 +476,7 @@ let test_reliable_convergecast_under_chaos () =
   let values = Array.init n (fun i -> i + 1) in
   let faults = Fault.make ~seed:13 ~drop:0.15 ~delay:2 ~duplicate:0.2 () in
   let total, trace =
-    Tree.convergecast ~faults g tree ~values ~combine:( + ) ~size_words:(fun _ -> 1)
+    Tree.convergecast ~config:(faulty faults) g tree ~values ~combine:( + ) ~size_words:(fun _ -> 1)
   in
   check "sum exact under chaos" (n * (n + 1) / 2) total;
   checkb "faults were active" true
@@ -477,7 +487,9 @@ let test_reliable_broadcast_under_drop () =
   let tree, _ = Tree.build g ~root:0 in
   let tokens = [ 3; 1; 4; 1; 5 ] in
   let faults = Fault.make ~seed:21 ~drop:0.1 () in
-  let per_node, _ = Tree.broadcast_tokens ~faults g tree ~tokens ~size_words:(fun _ -> 1) in
+  let per_node, _ =
+    Tree.broadcast_tokens ~config:(faulty faults) g tree ~tokens ~size_words:(fun _ -> 1)
+  in
   (* Loss without reordering: every node still gets all tokens in
      order (retransmissions are sequence-numbered and deduplicated). *)
   Array.iter (fun l -> Alcotest.(check (list int)) "tokens delivered" tokens l) per_node
@@ -488,7 +500,9 @@ let test_reliable_gather_broadcast_under_drop () =
   let tree, _ = Tree.build g ~root:0 in
   let items = Array.init n (fun i -> [ i mod 5; 99 ]) in
   let faults = Fault.make ~seed:31 ~drop:0.12 () in
-  let collected, _ = Tree.gather_broadcast ~faults g tree ~items ~compare ~size_words:(fun _ -> 1) in
+  let collected, _ =
+    Tree.gather_broadcast ~config:(faulty faults) g tree ~items ~compare ~size_words:(fun _ -> 1)
+  in
   let expected = List.sort_uniq compare (Array.to_list items |> List.concat) in
   Alcotest.(check (list int)) "gather exact under drop" expected collected
 
@@ -499,7 +513,7 @@ let test_reliable_gives_up_on_crashed_peer () =
   let faults = Fault.make ~seed:2 ~crashes:[ (1, 1) ] () in
   let config = { Reliable.default_config with Reliable.max_retries = 3 } in
   let states, trace =
-    Engine.run ~faults g (Reliable.wrap ~config relay_protocol)
+    Engine.run ~config:(faulty faults) g (Reliable.wrap ~config relay_protocol)
   in
   check "crash recorded" 1 trace.Engine.crashed;
   check "sender abandoned the transfer" 1 (Reliable.given_up states.(0));
@@ -513,7 +527,7 @@ let test_reliable_retry_cap_structured () =
   let g = unit_path 2 in
   let faults = Fault.make ~seed:4 ~drop:1.0 () in
   let config = { Reliable.default_config with Reliable.max_retries = 4 } in
-  let states, trace = Engine.run ~faults g (Reliable.wrap ~config relay_protocol) in
+  let states, trace = Engine.run ~config:(faulty faults) g (Reliable.wrap ~config relay_protocol) in
   check "sender gave up" 1 (Reliable.given_up states.(0));
   (match Reliable.abandoned states.(0) with
   | [ gu ] ->
@@ -689,7 +703,9 @@ let adversary_classes seed =
 
 let engines_agree ?faults g proto =
   let sink1, drain1 = Telemetry.Events.collector () in
-  let states1, trace1 = Engine.run ?faults ~sink:sink1 g proto in
+  let states1, trace1 =
+    Engine.run ~config:{ Engine.default_config with faults; sink = Some sink1 } g proto
+  in
   let sink2, drain2 = Telemetry.Events.collector () in
   let states2, trace2 = Engine_reference.run ?faults ~sink:sink2 g proto in
   let events1 = drain1 () and events2 = drain2 () in
@@ -742,7 +758,9 @@ let test_illegal_actions_agree () =
                 Printf.sprintf "%s %s %s" what (if in_round then "in round 1" else "at init")
                   label
               in
-              let opt = raised (fun () -> Engine.run ?faults g proto) in
+              let opt =
+                raised (fun () -> Engine.run ~config:{ Engine.default_config with faults } g proto)
+              in
               let reference = raised (fun () -> Engine_reference.run ?faults g proto) in
               Alcotest.(check (option string)) (tag ^ ": engine") (Some expected) opt;
               Alcotest.(check (option string)) (tag ^ ": reference") (Some expected) reference)
@@ -798,10 +816,16 @@ let ticking_protocol advance : (int, unit) Engine.protocol =
         (s + 1, Engine.act ~wakes:[ round + 1 ] ()));
   }
 
+(* The ticker never quiesces: only a deadline or this limit stops it. *)
+let ticker_config = { Engine.default_config with max_rounds = 1000 }
+
 let test_deadline_fires () =
   let g = unit_path 2 in
   let clock, advance = Telemetry.Clock.manual () in
-  match Engine.run ~deadline:5.0 ~clock ~max_rounds:1000 g (ticking_protocol advance) with
+  match
+    Engine.with_deadline ~clock ~seconds:5.0 (fun () ->
+        Engine.run ~config:ticker_config g (ticking_protocol advance))
+  with
   | _ -> Alcotest.fail "ticker quiesced under a deadline"
   | exception Engine.Deadline_exceeded info ->
     checkb "protocol named" true (info.Engine.deadline_protocol = "ticker");
@@ -817,24 +841,16 @@ let test_deadline_zero_budget () =
   let g = unit_path 2 in
   let clock, advance = Telemetry.Clock.manual () in
   checkb "zero budget cuts at the first over-budget round" true
-    (match Engine.run ~deadline:0.0 ~clock ~max_rounds:1000 g (ticking_protocol advance) with
+    (match
+       Engine.with_deadline ~clock ~seconds:0.0 (fun () ->
+           Engine.run ~config:ticker_config g (ticking_protocol advance))
+     with
     | _ -> false
     | exception Engine.Deadline_exceeded _ -> true)
 
-let test_deadline_invalid () =
-  let g = unit_path 2 in
-  let expect_invalid d =
-    match Engine.run ~deadline:d g relay_protocol with
-    | _ -> Alcotest.fail "invalid deadline accepted"
-    | exception Invalid_argument _ -> ()
-  in
-  expect_invalid (-1.0);
-  expect_invalid Float.nan;
-  expect_invalid Float.infinity
-
-(* The ambient scope rejects the same budgets with the same message: a
-   NaN limit would otherwise never compare greater, leaving every run
-   unsupervised, and a negative one would time every run out. *)
+(* The scope rejects budgets that cannot supervise: a NaN limit would
+   never compare greater, leaving every run unsupervised, and a
+   negative one would time every run out. *)
 let test_with_deadline_invalid () =
   let g = unit_path 2 in
   List.iter
@@ -855,7 +871,7 @@ let test_deadline_ambient () =
   checkb "ambient deadline fires" true
     (match
        Engine.with_deadline ~clock ~seconds:3.0 (fun () ->
-           Engine.run ~max_rounds:1000 g (ticking_protocol advance))
+           Engine.run ~config:ticker_config g (ticking_protocol advance))
      with
     | _ -> false
     | exception Engine.Deadline_exceeded info -> info.Engine.budget_s = 3.0);
@@ -868,7 +884,7 @@ let test_deadline_ambient () =
     (match
        Engine.with_deadline ~clock:clock2 ~seconds:2.0 (fun () ->
            Engine.with_deadline ~clock:clock2 ~seconds:1000.0 (fun () ->
-               Engine.run ~max_rounds:1000 g (ticking_protocol advance2)))
+               Engine.run ~config:ticker_config g (ticking_protocol advance2)))
      with
     | _ -> false
     | exception Engine.Deadline_exceeded info -> info.Engine.budget_s <= 2.0)
@@ -878,17 +894,95 @@ let test_deadline_unset_is_identity () =
      observationally invisible — same states, trace and event stream
      as the default engine and the reference engine. *)
   let g = unit_path 8 in
+  let supervised f = Engine.with_deadline ~seconds:3600.0 f in
   List.iter
     (fun (label, faults) ->
       let sink1, drain1 = Telemetry.Events.collector () in
-      let s1, t1 = Engine.run ?faults ~sink:sink1 g exerciser_protocol in
+      let s1, t1 =
+        Engine.run ~config:{ Engine.default_config with faults; sink = Some sink1 } g
+          exerciser_protocol
+      in
       let sink2, drain2 = Telemetry.Events.collector () in
-      let s2, t2 = Engine.run ?faults ~deadline:3600.0 ~sink:sink2 g exerciser_protocol in
+      let s2, t2 =
+        supervised (fun () ->
+            Engine.run ~config:{ Engine.default_config with faults; sink = Some sink2 } g
+              exerciser_protocol)
+      in
       checkb (label ^ ": generous deadline invisible") true
         (s1 = s2 && t1 = t2 && drain1 () = drain2 ());
       checkb (label ^ ": supervised engine = reference") true
-        (engines_agree ?faults g exerciser_protocol))
+        (supervised (fun () -> engines_agree ?faults g exerciser_protocol)))
     (adversary_classes 99)
+
+(* What the ambient scope holds, read back through one observed ticker
+   run: the budget of the enforcing deadline (if one is armed, the
+   manual clock's per-round ticks exhaust it) and whether phase spans
+   were emitted. *)
+let probe_scope g advance =
+  let sink, drain = Telemetry.Events.collector () in
+  let deadline =
+    match
+      Engine.run ~config:{ ticker_config with sink = Some sink } g (ticking_protocol advance)
+    with
+    | _ -> Alcotest.fail "ticker quiesced"
+    | exception Engine.Deadline_exceeded info -> Some info.Engine.budget_s
+    | exception Engine.Round_limit_exceeded _ -> None
+  in
+  let spans =
+    List.exists (function Telemetry.Events.Span_begin _ -> true | _ -> false) (drain ())
+  in
+  (deadline, spans)
+
+let test_scopes_compose () =
+  let g = unit_path 2 in
+  let clock, advance = Telemetry.Clock.manual () in
+  let probe = probe_scope g in
+  let expect label want got = Alcotest.(check (pair (option (float 0.0)) bool)) label want got in
+  let in_deadline f = Engine.with_deadline ~clock ~seconds:3.0 f in
+  let ticker_run () = ignore (Engine.run ~config:ticker_config g (ticking_protocol advance)) in
+  let swallow_deadline f = try f () with Engine.Deadline_exceeded _ -> () in
+  expect "outside every scope" (None, false) (probe advance);
+  (* Phase spans inside a deadline, returning normally. *)
+  in_deadline (fun () ->
+      Engine.with_phase_spans (fun () ->
+          expect "spans in deadline" (Some 3.0, true) (probe advance));
+      expect "deadline kept after inner spans" (Some 3.0, false) (probe advance));
+  expect "both restored" (None, false) (probe advance);
+  (* A deadline inside phase spans, returning normally. *)
+  Engine.with_phase_spans (fun () ->
+      in_deadline (fun () -> expect "deadline in spans" (Some 3.0, true) (probe advance));
+      expect "spans kept after inner deadline" (None, true) (probe advance));
+  expect "both restored (reverse)" (None, false) (probe advance);
+  (* Deadline_exceeded escaping the inner scope restores only its field. *)
+  Engine.with_phase_spans (fun () ->
+      swallow_deadline (fun () -> in_deadline ticker_run);
+      expect "spans survive a raising inner deadline" (None, true) (probe advance));
+  in_deadline (fun () ->
+      swallow_deadline (fun () -> Engine.with_phase_spans ticker_run);
+      expect "deadline survives raising inner spans" (Some 3.0, false) (probe advance));
+  expect "both restored after raises" (None, false) (probe advance);
+  (* Same-kind nesting: an inner scope's exit never clears the outer's. *)
+  Engine.with_phase_spans (fun () ->
+      Engine.with_phase_spans ignore;
+      expect "outer spans kept" (None, true) (probe advance));
+  in_deadline (fun () ->
+      in_deadline ignore;
+      expect "outer deadline kept" (Some 3.0, false) (probe advance))
+
+let test_wall_budget_exact () =
+  (* Under the wall clock the reported budget is the scope's seconds,
+     bit for bit, and the reported elapsed time exceeds it. *)
+  let g = unit_path 2 in
+  let seconds = 0.001 in
+  match
+    Engine.with_deadline ~seconds (fun () ->
+        Engine.run ~config:{ Engine.default_config with max_rounds = max_int } g
+          (ticking_protocol ignore))
+  with
+  | _ -> Alcotest.fail "ticker quiesced under a deadline"
+  | exception Engine.Deadline_exceeded info ->
+    checkb "budget_s = seconds" true (Float.equal info.Engine.budget_s seconds);
+    checkb "elapsed_s > budget_s" true (info.Engine.elapsed_s > seconds)
 
 (* ------------------------------ Runner ----------------------------- *)
 
@@ -1053,12 +1147,14 @@ let () =
         [
           Alcotest.test_case "fires with manual clock" `Quick test_deadline_fires;
           Alcotest.test_case "zero budget" `Quick test_deadline_zero_budget;
-          Alcotest.test_case "invalid budgets rejected" `Quick test_deadline_invalid;
           Alcotest.test_case "invalid ambient budgets rejected" `Quick
             test_with_deadline_invalid;
           Alcotest.test_case "ambient with_deadline" `Quick test_deadline_ambient;
           Alcotest.test_case "unset/generous deadline is identity" `Quick
             test_deadline_unset_is_identity;
+          Alcotest.test_case "scopes compose and restore" `Quick test_scopes_compose;
+          Alcotest.test_case "wall-clock budget_s is the scope's seconds" `Quick
+            test_wall_budget_exact;
         ] );
       ( "runner",
         [

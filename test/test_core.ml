@@ -290,30 +290,38 @@ let test_run_both_shares () =
   (* Both searches operated on the same sampled sets. *)
   checkb "same params" true (d.Core.Algorithm.params = r.Core.Algorithm.params)
 
-let prop_end_to_end_guarantee =
-  QCheck.Test.make ~name:"Theorem 1.1 guarantee across random instances" ~count:10
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let rng = Util.Rng.create ~seed in
-      let n = 10 + Util.Rng.int rng 20 in
-      let g =
-        Graphlib.Gen.gnp_connected ~n ~p:0.25
-          ~weighting:(Graphlib.Gen.Uniform { max_w = 1 + Util.Rng.int rng 30 })
-          ~rng
-      in
-      let config =
-        { Core.Algorithm.default_config with
-          Core.Algorithm.mode = Core.Algorithm.Centralized_calibrated }
-      in
-      let obj = if seed mod 2 = 0 then Core.Algorithm.Diameter else Core.Algorithm.Radius in
-      let r = Core.Algorithm.run ~config g obj ~rng in
-      (* δ = 0.1; a property over 10 instances should basically always
-         hold, but tolerate the allowed failure rate by accepting runs
-         that are merely never *below* the true value. *)
-      r.Core.Algorithm.within_guarantee
-      || r.Core.Algorithm.estimate >= float_of_int r.Core.Algorithm.exact -. 1e-6)
-
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_end_to_end_guarantee ]
+(* Theorem 1.1 succeeds with probability >= 1 - delta, so over a fixed
+   batch of instances at most a delta share may leave the guarantee
+   [exact, (1+eps)^2 * exact] — in either direction. The seeds are
+   fixed (a freshly drawn sample fails now and then by design); the
+   range holds instances 9528 and 9536, which under-estimate. *)
+let test_end_to_end_guarantee () =
+  let config =
+    { Core.Algorithm.default_config with
+      Core.Algorithm.mode = Core.Algorithm.Centralized_calibrated }
+  in
+  let seeds = List.init 100 (fun i -> 9500 + i) in
+  let failed =
+    List.filter
+      (fun seed ->
+        let rng = Util.Rng.create ~seed in
+        let n = 10 + Util.Rng.int rng 20 in
+        let g =
+          Graphlib.Gen.gnp_connected ~n ~p:0.25
+            ~weighting:(Graphlib.Gen.Uniform { max_w = 1 + Util.Rng.int rng 30 })
+            ~rng
+        in
+        let obj = if seed mod 2 = 0 then Core.Algorithm.Diameter else Core.Algorithm.Radius in
+        not (Core.Algorithm.run ~config g obj ~rng).Core.Algorithm.within_guarantee)
+      seeds
+  in
+  let allowed = config.Core.Algorithm.delta *. float_of_int (List.length seeds) in
+  checkb
+    (Printf.sprintf "failures [%s] <= delta * N = %g"
+       (String.concat "; " (List.map string_of_int failed))
+       allowed)
+    true
+    (float_of_int (List.length failed) <= allowed)
 
 let () =
   Alcotest.run "core"
@@ -352,5 +360,9 @@ let () =
           Alcotest.test_case "rejects bad input" `Quick test_algorithm_rejects_bad_input;
           Alcotest.test_case "run_both shares work" `Quick test_run_both_shares;
         ] );
-      ("properties", qsuite);
+      ( "properties",
+        [
+          Alcotest.test_case "Theorem 1.1 guarantee across seeds 9500-9599" `Quick
+            test_end_to_end_guarantee;
+        ] );
     ]

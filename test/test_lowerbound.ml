@@ -375,7 +375,8 @@ let test_count_protocol_bound () =
                 else (max s best, Congest.Engine.no_action));
           }
         in
-        let _, trace = Congest.Engine.run ~sink gd.Gadget.graph proto in
+        let config = { Congest.Engine.default_config with sink = Some sink } in
+        let _, trace = Congest.Engine.run ~config gd.Gadget.graph proto in
         trace.Congest.Engine.rounds)
   in
   checkb "protocol ran" true (count.Server_model.protocol_rounds > 0);

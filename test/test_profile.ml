@@ -168,7 +168,8 @@ let test_engine_phase_spans () =
     }
   in
   let sink, drain = E.collector () in
-  let states, trace = Congest.Engine.with_phase_spans (fun () -> Congest.Engine.run ~sink g relay) in
+  let config = { Congest.Engine.default_config with sink = Some sink } in
+  let states, trace = Congest.Engine.with_phase_spans (fun () -> Congest.Engine.run ~config g relay) in
   let t = P.Span.of_events (drain ()) in
   let phase name =
     match P.Span.find t [ name ] with
@@ -188,7 +189,7 @@ let test_engine_phase_spans () =
   checkb "trace unchanged" true (trace = plain_trace);
   (* The ambient switch resets when its scope ends. *)
   let sink3, drain3 = E.collector () in
-  let _ = Congest.Engine.run ~sink:sink3 g relay in
+  let _ = Congest.Engine.run ~config:{ config with sink = Some sink3 } g relay in
   checkb "ambient flag restored" false
     (List.exists (function E.Span_begin _ -> true | _ -> false) (drain3 ()))
 

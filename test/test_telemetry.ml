@@ -172,11 +172,26 @@ let test_collector_and_tee () =
   check "collector 1" 2 (List.length (drain1 ()));
   checkb "tee mirrors" true (drain1 () = drain2 ())
 
+let test_close_span_rule () =
+  let close = E.close_span ~name:Fun.id in
+  let pair = Alcotest.(option (pair (list string) (list string))) in
+  Alcotest.check pair "matching top" (Some ([ "a" ], [ "b" ])) (close [ "a"; "b" ] "a");
+  Alcotest.check pair "skipped inner spans close first"
+    (Some ([ "c"; "b"; "a" ], [ "d" ]))
+    (close [ "c"; "b"; "a"; "d" ] "a");
+  Alcotest.check pair "innermost match wins" (Some ([ "x"; "a" ], [ "a" ]))
+    (close [ "x"; "a"; "a" ] "a");
+  Alcotest.check pair "stray end" None (close [ "a"; "b" ] "z");
+  Alcotest.check pair "empty stack" None (close [] "a")
+
 let test_pinned_relay_event_stream () =
   (* The exact fault-free stream for the relay on a 4-path: pins the
      event schema against silent drift. *)
   let sink, drain = E.collector () in
-  let _, trace = Engine.run ~sink (unit_path 4) relay_protocol in
+  let _, trace =
+    Engine.run ~config:{ Engine.default_config with sink = Some sink } (unit_path 4)
+      relay_protocol
+  in
   let expected =
     [
       E.Run_start { protocol = "relay"; n = 4; bandwidth = 1 };
@@ -199,13 +214,14 @@ let test_sink_does_not_perturb () =
   let g = random_graph 42 in
   let base_t, base_tr = Tree.build g ~root:0 in
   let sink, _ = E.collector () in
-  let t, tr = Tree.build ~sink g ~root:0 in
+  let t, tr = Tree.build ~config:{ Engine.default_config with sink = Some sink } g ~root:0 in
   checkb "fault-free: same tree" true (t = base_t);
   checkb "fault-free: same trace" true (tr = base_tr);
   let faults = Fault.make ~seed:9 ~drop:0.2 ~delay:2 ~duplicate:0.1 () in
-  let base_t, base_tr = Tree.build ~faults g ~root:0 in
+  let config = { Engine.default_config with faults = Some faults } in
+  let base_t, base_tr = Tree.build ~config g ~root:0 in
   let sink, _ = E.collector () in
-  let t, tr = Tree.build ~faults ~sink g ~root:0 in
+  let t, tr = Tree.build ~config:{ config with sink = Some sink } g ~root:0 in
   checkb "faulty: same tree" true (t = base_t);
   checkb "faulty: same trace" true (tr = base_tr)
 
@@ -226,7 +242,8 @@ let prop_replay_reconstructs_trace =
       let g = random_graph seed in
       let sink, drain = E.collector () in
       let faults = fault_scenarios.(fi) in
-      let _, trace = Tree.build ?faults ~sink g ~root:0 in
+      let config = { Engine.default_config with faults; sink = Some sink } in
+      let _, trace = Tree.build ~config g ~root:0 in
       Replay.trace_of_events (drain ()) = trace)
 
 let test_replay_strict_bandwidth () =
@@ -235,7 +252,8 @@ let test_replay_strict_bandwidth () =
   let g = unit_path 3 in
   let faults = Fault.make ~strict_bandwidth:true () in
   let sink, drain = E.collector () in
-  let _, trace = Engine.run ~faults ~sink g (burst_protocol [ (1, 1); (1, 1) ]) in
+  let config = { Engine.default_config with faults = Some faults; sink = Some sink } in
+  let _, trace = Engine.run ~config g (burst_protocol [ (1, 1); (1, 1) ]) in
   check "one drop" 1 trace.Engine.dropped;
   check "one violation" 1 trace.Engine.congestion_violations;
   checkb "replay agrees" true (Replay.trace_of_events (drain ()) = trace)
@@ -244,7 +262,8 @@ let test_replay_crash () =
   let g = unit_path 6 in
   let faults = Fault.make ~seed:1 ~crashes:[ (3, 2) ] () in
   let sink, drain = E.collector () in
-  let _, trace = Engine.run ~faults ~sink g relay_protocol in
+  let config = { Engine.default_config with faults = Some faults; sink = Some sink } in
+  let _, trace = Engine.run ~config g relay_protocol in
   check "crash recorded" 1 trace.Engine.crashed;
   let events = drain () in
   check "one crash event" 1
@@ -257,7 +276,8 @@ let test_replay_bandwidth_from_run_start () =
      from the Run_start event, not assume 1. *)
   let g = unit_path 3 in
   let sink, drain = E.collector () in
-  let _, trace = Engine.run ~bandwidth:2 ~sink g (burst_protocol [ (1, 1); (1, 1) ]) in
+  let _, trace = Engine.run ~config:{ Engine.default_config with bandwidth = 2; sink = Some sink } g
+      (burst_protocol [ (1, 1); (1, 1) ]) in
   check "no violation at bandwidth 2" 0 trace.Engine.congestion_violations;
   checkb "replay agrees" true (Replay.trace_of_events (drain ()) = trace)
 
@@ -408,7 +428,7 @@ let test_chrome_trace_structure () =
   let _ =
     Runner.time_phase r "bfs" (fun () ->
         advance 0.1;
-        let t, tr = Tree.build ~sink g ~root:0 in
+        let t, tr = Tree.build ~config:{ Engine.default_config with sink = Some sink } g ~root:0 in
         ((t : Tree.t), tr))
   in
   let chrome = T.Export.chrome_trace (drain ()) in
@@ -488,6 +508,7 @@ let () =
         [
           Alcotest.test_case "event json" `Quick test_event_json;
           Alcotest.test_case "collector and tee" `Quick test_collector_and_tee;
+          Alcotest.test_case "close_span unwinding rule" `Quick test_close_span_rule;
           Alcotest.test_case "pinned relay stream" `Quick test_pinned_relay_event_stream;
           Alcotest.test_case "sink does not perturb" `Quick test_sink_does_not_perturb;
         ] );
